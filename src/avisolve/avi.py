@@ -465,6 +465,18 @@ def solve_dr(
     return sol, trace
 
 
+def _equilibrate(p: AviProblem) -> tuple[AviProblem, np.ndarray]:
+    """Copy of p with each row of A x <= b scaled to unit Euclidean norm.
+
+    Returns the scaled problem and the row norms; zero rows keep norm 1.
+    The feasible set, and with it x and the active set, does not change,
+    while the multipliers of p are those of the copy divided by the norms.
+    """
+    norms = np.linalg.norm(p.A, axis=1)
+    norms[norms == 0.0] = 1.0
+    return AviProblem(H=p.H, f=p.f, A=p.A / norms[:, None], b=p.b / norms), norms
+
+
 def _newton_candidate(p: AviProblem, act: tuple[int, ...]):
     """Reduced KKT solve for act, or None when the system is unavailable.
 
@@ -508,8 +520,27 @@ def solve_dr_daqp(
 
     ``warm_start=False`` forces every inner QP to start from an empty
     working set (used for warm-vs-cold comparisons).
+
+    The iteration runs on a copy of the problem whose constraint rows have
+    unit norm, so every tolerance means the same distance on every row
+    whatever scale the rows were given.  The returned multipliers and KKT
+    residual belong to ``p`` itself.
     """
     s = s if s is not None else SolverSettings()
+    user = p
+    p, row_norms = _equilibrate(user)
+
+    def solution(x, lam, act, status, iterations):
+        lam = lam / row_norms
+        return Solution(
+            x=x,
+            multipliers=lam,
+            active_set=act,
+            status=status,
+            iterations=iterations,
+            kkt_residual=kkt_residual(user, x, lam),
+        )
+
     ws = build_dr_workspace(p, s)
     z = _initial_iterate(p, z0)
     trace = IterationTrace()
@@ -582,25 +613,8 @@ def solve_dr_daqp(
                 )
             )
             if exact is not None:
-                x_c, lam_c = exact
-                sol = Solution(
-                    x=x_c,
-                    multipliers=lam_c,
-                    active_set=act,
-                    status=STATUS_EXACT,
-                    iterations=k + 1,
-                    kkt_residual=kkt_residual(p, x_c, lam_c),
-                )
-            else:
-                sol = Solution(
-                    x=y,
-                    multipliers=lam,
-                    active_set=act,
-                    status=STATUS_TOLERANCE,
-                    iterations=k + 1,
-                    kkt_residual=kkt_residual(p, y, lam),
-                )
-            return sol, trace
+                return solution(*exact, act, STATUS_EXACT, k + 1), trace
+            return solution(y, lam, act, STATUS_TOLERANCE, k + 1), trace
 
         ws.last_active_set = act
         z = dr_update(ws, y, z)
@@ -616,15 +630,7 @@ def solve_dr_daqp(
                 active_set=act,
             )
         )
-    sol = Solution(
-        x=y,
-        multipliers=lam,
-        active_set=act,
-        status=STATUS_MAXITER,
-        iterations=s.max_iter,
-        kkt_residual=kkt_residual(p, y, lam),
-    )
-    return sol, trace
+    return solution(y, lam, act, STATUS_MAXITER, s.max_iter), trace
 
 
 def _smallest_sym_eigenvalue(h_sym: np.ndarray) -> float:

@@ -22,6 +22,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrsv
 
 from .errors import DimensionMismatch, NotPositiveDefinite, Singular
 
@@ -73,6 +74,11 @@ class SpdFactor:
             raise DimensionMismatch(
                 f"rhs has leading dimension {b.shape[0]}, factor is {self.n}x{self.n}"
             )
+        if b.ndim == 1:
+            # BLAS on the transpose: a C-contiguous L is passed uncopied
+            lt = self.lower.T
+            y = dtrsv(lt, b, trans=1, diag=1) / self.diag
+            return dtrsv(lt, y, diag=1)
         y = scipy.linalg.solve_triangular(
             self.lower, b, lower=True, unit_diagonal=True, check_finite=False
         )

@@ -18,10 +18,14 @@ keeps the working-set multipliers nonnegative, dropping blocking constraints
 along the way.  Iterates stay dual feasible throughout, so a warm start from
 a nearly correct working set costs almost nothing.
 
-State per working set: the indices themselves, the matrix ``W = G^{-1} A_S'``
-column by column, and a Cholesky factor of ``M = A_S W``.  Adding a
-constraint extends the Cholesky factor by one row; dropping one triggers a
-dense refactorization of the (small) reduced Hessian.
+State per working set: the indices themselves, the rows ``A_S`` and the
+rows of ``W' = (G^{-1} A_S')'`` in contiguous row blocks, and a lower
+Cholesky factor L of ``M = A_S W``.  Adding a constraint extends L by one
+row.  Dropping one deletes a row and a column of M, which stays positive
+definite; with ``R = L'`` that is a column deletion from R, and Givens
+rotations (``scipy.linalg.qr_delete``) restore the triangle in O(q^2)
+without recomputing ``A_S W``.  Triangular solves against L call BLAS
+``dtrsv`` directly.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrsv
 
 from .errors import CycleLimit, DimensionMismatch, Infeasible
 from .linalg import SpdFactor, factor_spd
@@ -61,6 +66,34 @@ class QpResult:
     inner_iterations: int
 
 
+def _lower_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^{-1} rhs for lower triangular L; a C-contiguous L is passed uncopied."""
+    return dtrsv(L.T, rhs, trans=1)
+
+
+def _upper_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L'^{-1} rhs for lower triangular L."""
+    return dtrsv(L.T, rhs)
+
+
+def _delete_factor_row(L: np.ndarray, k: int) -> np.ndarray:
+    """Cholesky factor of L L' with row and column k deleted, in O(q^2).
+
+    Deleting column k of R = L' leaves R' R = L L' minus that row and
+    column; Givens rotations restore R to upper triangular form, and row
+    signs are flipped so the new factor keeps a positive diagonal.
+    """
+    q = L.shape[0]
+    if k == q - 1:
+        return L[:k, :k].copy()
+    _, R = scipy.linalg.qr_delete(
+        np.eye(q), L.T, k, which="col", overwrite_qr=True, check_finite=False
+    )
+    R = R[: q - 1]
+    R *= np.where(np.diag(R) < 0.0, -1.0, 1.0)[:, None]
+    return np.ascontiguousarray(R.T)
+
+
 class QpWorkspace:
     """Factored Hessian plus constraint data plus persistent working set."""
 
@@ -75,7 +108,11 @@ class QpWorkspace:
         # selection scale: 1 + Euclidean norm of each constraint row
         self._row_scale = 1.0 + np.linalg.norm(A, axis=1) if self.m else np.zeros(0)
         self._S: list[int] = []
-        self._W = np.zeros((self.n, 0))
+        # rows 0..q-1 hold A_S and W' (W = G^{-1} A_S'); independent rows
+        # number at most n, so the blocks rarely need to grow
+        cap = min(self.m, self.n)
+        self._AS = np.empty((cap, self.n))
+        self._WT = np.empty((cap, self.n))
         self._L = np.zeros((0, 0))
         self._change_count = 0
         self.total_inner_iterations = 0
@@ -95,7 +132,6 @@ class QpWorkspace:
         """
         saved = (self._change_count, self.total_inner_iterations)
         self._S = []
-        self._W = np.zeros((self.n, 0))
         self._L = np.zeros((0, 0))
         for i in indices:
             i = int(i)
@@ -106,9 +142,9 @@ class QpWorkspace:
             aw = float(a @ w)
             if aw <= 0.0:
                 continue  # zero row carries no geometry
-            if self._S:
-                u = self.A[self._S] @ w
-                l = scipy.linalg.solve_triangular(self._L, u, lower=True, check_finite=False)
+            q = len(self._S)
+            if q:
+                l = _lower_solve(self._L, self._AS[:q] @ w)
                 d2 = aw - float(l @ l)
             else:
                 l = np.zeros(0)
@@ -120,40 +156,33 @@ class QpWorkspace:
 
     def _append(self, idx: int, w: np.ndarray, l: np.ndarray, d: float) -> None:
         q = len(self._S)
+        if q == len(self._AS):
+            extra = np.empty((q + 1, self.n))
+            self._AS = np.concatenate((self._AS, extra))
+            self._WT = np.concatenate((self._WT, extra))
+        self._AS[q] = self.A[idx]
+        self._WT[q] = w
         grown = np.zeros((q + 1, q + 1))
         grown[:q, :q] = self._L
         grown[q, :q] = l
         grown[q, q] = d
         self._L = grown
-        self._W = np.hstack([self._W, w[:, None]])
         self._S.append(idx)
         self._change_count += 1
         self.total_inner_iterations += 1
 
     def _drop(self, pos: int) -> None:
+        q = len(self._S)
         self._S.pop(pos)
-        self._W = np.delete(self._W, pos, axis=1)
-        self._refactor()
+        self._AS[pos : q - 1] = self._AS[pos + 1 : q]
+        self._WT[pos : q - 1] = self._WT[pos + 1 : q]
+        self._L = _delete_factor_row(self._L, pos)
         self._change_count += 1
         self.total_inner_iterations += 1
 
-    def _refactor(self) -> None:
-        q = len(self._S)
-        if q == 0:
-            self._L = np.zeros((0, 0))
-            return
-        M = self.A[self._S] @ self._W
-        M = 0.5 * (M + M.T)
-        try:
-            self._L = np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            # working set degraded numerically: rebuild it row by row
-            self.set_working_set(list(self._S))
-
     def _msolve(self, u: np.ndarray) -> np.ndarray:
         """Solve M r = u against the Cholesky factor of A_S W."""
-        l = scipy.linalg.solve_triangular(self._L, u, lower=True, check_finite=False)
-        return scipy.linalg.solve_triangular(self._L.T, l, lower=False, check_finite=False)
+        return _upper_solve(self._L, _lower_solve(self._L, u))
 
     def _eqp(self, g0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Equality-constrained solve on the current working set.
@@ -161,11 +190,12 @@ class QpWorkspace:
         g0 is G^{-1} g.  Returns (y, lam_S) with A_S y = b_S and
         G y + g + A_S' lam_S = 0.
         """
-        if not self._S:
+        q = len(self._S)
+        if not q:
             return -g0.copy(), np.zeros(0)
-        rhs = self.b[self._S] + self.A[self._S] @ g0
+        rhs = self.b[self._S] + self._AS[:q] @ g0
         lam = -self._msolve(rhs)
-        y = -g0 - self._W @ lam
+        y = -g0 - self._WT[:q].T @ lam
         return y, lam
 
 
@@ -222,6 +252,8 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
             scaled = np.where(viol > ws.eps_primal, viol / ws._row_scale, -np.inf)
             p = int(np.argmax(scaled))
         a_p = ws.A[p]
+        w = ws.hessian_factor.solve(a_p)
+        aw = float(a_p @ w)
         acc = 0.0  # multiplier accumulated for the entering constraint
         while True:
             if ws._change_count - start_changes > cap:
@@ -229,15 +261,12 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
             vp = float(a_p @ y - ws.b[p])
             if vp <= ws.eps_primal:
                 break  # resolved by drops taken along the way
-            w = ws.hessian_factor.solve(a_p)
-            aw = float(a_p @ w)
             q = len(ws._S)
             if q:
-                u = ws.A[ws._S] @ w
-                l = scipy.linalg.solve_triangular(ws._L, u, lower=True, check_finite=False)
-                r = scipy.linalg.solve_triangular(ws._L.T, l, lower=False, check_finite=False)
+                l = _lower_solve(ws._L, ws._AS[:q] @ w)
+                r = _upper_solve(ws._L, l)
                 d2 = aw - float(l @ l)
-                z = w - ws._W @ r
+                z = w - ws._WT[:q].T @ r
             else:
                 l = np.zeros(0)
                 r = np.zeros(0)

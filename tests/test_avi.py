@@ -15,9 +15,11 @@ from avisolve import (
     AviProblem,
     DimensionMismatch,
     GenSpec,
+    Infeasible,
     NotPositiveDefinite,
     Singular,
     SolverSettings,
+    brute_force_solve,
     build_dr_workspace,
     check_solution,
     dr_update,
@@ -334,6 +336,53 @@ def test_solve_dr_daqp_matches_oracle_small():
         assert sol.status == "Exact"
         assert np.max(np.abs(sol.x - orc.x)) <= 1e-6
         assert sol.active_set == orc.active_set
+
+
+def _row_scaled(p, scales):
+    return AviProblem(H=p.H, f=p.f, A=p.A * scales[:, None], b=p.b * scales)
+
+
+def test_solve_dr_daqp_exact_on_badly_scaled_rows():
+    # scaling rows of A x <= b leaves the solution alone; before the rows
+    # were equilibrated, 42 of these 50 came back Exact with the wrong x
+    scales = 10.0 ** np.linspace(-6, 6, 8)
+    for seed in range(1, 51):
+        prob = random_avi(GenSpec(n=4, m=8, gamma_asym=0.5, seed=seed))
+        orc = brute_force_solve(prob)
+        sol, _ = solve_dr_daqp(_row_scaled(prob, scales))
+        if sol.status == "Exact":
+            assert np.max(np.abs(sol.x - orc.x)) <= 1e-6, seed
+            assert sol.active_set == orc.active_set, seed
+
+
+def test_solve_dr_daqp_row_scaling_invariance():
+    # a row-scaled copy gives the same status, set and x; its multipliers
+    # are those of the original divided by the row scales
+    for seed in range(1, 6):
+        prob = random_avi(GenSpec(n=10, m=100, gamma_asym=0.5, seed=seed))
+        scales = 10.0 ** np.random.default_rng(seed).uniform(-3, 3, prob.m)
+        sol, _ = solve_dr_daqp(prob)
+        scaled, _ = solve_dr_daqp(_row_scaled(prob, scales))
+        assert scaled.status == sol.status == "Exact"
+        assert scaled.active_set == sol.active_set
+        assert np.max(np.abs(scaled.x - sol.x)) <= 1e-10
+        np.testing.assert_allclose(
+            scaled.multipliers, sol.multipliers / scales, rtol=1e-8, atol=1e-12
+        )
+
+
+def test_solve_dr_daqp_zero_rows():
+    # a zero row 0 <= b_i is inert; with b_i < 0 the inner QP proves the
+    # constraints inconsistent
+    prob = _scalar_problem(bound=0.25)
+    with_zero = AviProblem(H=prob.H, f=prob.f, A=np.array([[1.0], [0.0]]), b=np.array([0.25, 1.0]))
+    sol, _ = solve_dr_daqp(with_zero, SolverSettings(rho=2.0, stab_count=1))
+    assert sol.status == "Exact"
+    np.testing.assert_allclose(sol.x, [0.25], atol=1e-12)
+    np.testing.assert_allclose(sol.multipliers, [1.5, 0.0], atol=1e-10)
+    bad = AviProblem(H=prob.H, f=prob.f, A=with_zero.A, b=np.array([0.25, -1.0]))
+    with pytest.raises(Infeasible):
+        solve_dr_daqp(bad)
 
 
 def test_solve_dr_daqp_exact_exit_without_streak():

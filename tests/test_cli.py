@@ -352,6 +352,15 @@ def _load_toml(path):
         return tomllib.load(handle)
 
 
+def _child_env():
+    """Environment in which a child imports the same avisolve as this test,
+    from any working directory."""
+    src = str(Path(avisolve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script(tmp_path):
     # The `avi-solve` script exists only after an install, so the configured
     # entry point is run the way the script setuptools generates would run it;
@@ -362,10 +371,7 @@ def test_console_script(tmp_path):
     module, func = target.split(":")
     path = _scalar_file(tmp_path)
 
-    # the child imports the same avisolve as this test, from any cwd
-    src = str(Path(avisolve.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _child_env()
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
     commands = [[sys.executable, "-c", wrapper]]
     installed = shutil.which("avi-solve")
@@ -378,3 +384,13 @@ def test_console_script(tmp_path):
         )
         assert proc.returncode == 0, (command, proc.stderr)
         assert json.loads(proc.stdout)["status"] == "Exact"
+
+
+def test_python_dash_m(tmp_path):
+    # `python -m avisolve` runs the same command line as `avi-solve`
+    proc = subprocess.run(
+        [sys.executable, "-m", "avisolve", "solve", str(_scalar_file(tmp_path))],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "Exact"

@@ -123,3 +123,14 @@ def test_spd_factor_matrix_rhs():
     rhs = rng.standard_normal((4, 3))
     got = factor_spd(m).solve(rhs)
     np.testing.assert_allclose(m @ got, rhs, atol=1e-10)
+
+
+def test_spd_vector_rhs_matches_matrix_route():
+    # the BLAS vector route does the same arithmetic as the LAPACK matrix
+    # route, so a vector and its one-column matrix solve bit for bit
+    for n in (1, 3, 10, 60):
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, n))
+        factor = factor_spd(g.T @ g + np.eye(n))
+        b = rng.standard_normal(n)
+        assert np.array_equal(factor.solve(b), factor.solve(b[:, None])[:, 0])

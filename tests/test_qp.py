@@ -194,3 +194,82 @@ def test_set_working_set_skips_dependent_rows():
     ws = qp_setup(np.eye(2), A, np.array([1.0, 1.0, 1.0]))
     ws.set_working_set([0, 1, 2])
     assert ws.working_set == (0, 2)
+
+
+def _assert_factor_consistent(ws, hessian, A):
+    # L L' reproduces A_S G^{-1} A_S' and the row blocks hold A_S and W'
+    S = list(ws.working_set)
+    q = len(S)
+    assert ws._L.shape == (q, q)
+    if not q:
+        return
+    A_S = A[S]
+    W = np.linalg.solve(hessian, A_S.T)
+    M = A_S @ W
+    L = ws._L
+    assert np.max(np.abs(L @ L.T - M)) <= 1e-10 * np.max(np.abs(M))
+    assert np.all(np.diag(L) > 0.0)
+    assert np.allclose(np.triu(L, 1), 0.0)
+    assert np.array_equal(ws._AS[:q], A_S)
+    assert np.max(np.abs(ws._WT[:q] - W.T)) <= 1e-10 * np.max(np.abs(W))
+
+
+def test_factor_tracks_random_adds_and_drops():
+    # QP solves under random linear terms add and drop rows; explicit drops
+    # at random positions exercise the downdate away from the last row
+    for seed in range(10):
+        hessian, _, A, b = _random_instance(seed, n=6, m=30)
+        ws = qp_setup(hessian, A, b)
+        rng = np.random.default_rng(100 + seed)
+        drops = 0
+        for _ in range(30):
+            q = len(ws.working_set)
+            if q and rng.random() < 0.4:
+                ws._drop(int(rng.integers(q)))
+                drops += 1
+            else:
+                qp_solve(ws, 5.0 * rng.standard_normal(6))
+            _assert_factor_consistent(ws, hessian, A)
+        assert drops >= 5
+
+
+def test_factor_after_set_working_set():
+    hessian, _, A, b = _random_instance(3, n=6, m=30)
+    ws = qp_setup(hessian, A, b)
+    ws.set_working_set([4, 17, 2, 9, 25])
+    assert ws.working_set == (4, 17, 2, 9, 25)
+    _assert_factor_consistent(ws, hessian, A)
+    for pos in (2, 0, 2):
+        ws._drop(pos)
+        _assert_factor_consistent(ws, hessian, A)
+    assert ws.working_set == (17, 9)
+
+
+def test_inner_iterations_parity():
+    # every working-set change is counted once: adds minus drops equals the
+    # net change of the set, so the count and that change share a parity
+    for seed in range(10):
+        hessian, _, A, b = _random_instance(seed, n=5, m=25)
+        ws = qp_setup(hessian, A, b)
+        rng = np.random.default_rng(200 + seed)
+        for _ in range(20):
+            before = len(ws.working_set)
+            res = qp_solve(ws, 5.0 * rng.standard_normal(5))
+            net = len(res.active_set) - before
+            assert res.inner_iterations >= abs(net)
+            assert (res.inner_iterations - net) % 2 == 0
+
+
+def test_row_blocks_hold_every_accepted_row():
+    # three rows in the plane: roundoff can let the third past the
+    # dependency test, so the row blocks must hold more than n rows
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((2, 2))
+        hessian = g.T @ g + np.eye(2)
+        A = rng.standard_normal((3, 2))
+        ws = qp_setup(hessian, A, np.ones(3))
+        ws.set_working_set([0, 1, 2])
+        q = len(ws.working_set)
+        assert ws._L.shape == (q, q)
+        assert np.array_equal(ws._AS[:q], A[list(ws.working_set)])
