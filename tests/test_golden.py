@@ -1,11 +1,16 @@
-"""Golden traces: ``solve_dr_daqp`` outputs pinned by a recorded file.
+"""Golden traces: solver outputs pinned by a recorded file.
 
 ``tests/data/golden_qp.json`` holds the status, outer iteration count,
-active set and ``x`` of ``solve_dr_daqp`` on ``random_avi`` at
-n in {10, 30}, m = 10 n, gamma = 0.5 and seeds 0-19, with default settings.
-A change to the inner QP or its factorizations must keep the first three
-identical and ``x`` within 1e-10.  Rewrite the file only for a deliberate
-behaviour change, and say so in CHANGES.md:
+active set and ``x`` of each solver on ``random_avi`` at m = 10 n,
+gamma = 0.5, with default settings:
+
+* ``solve_dr_daqp`` and ``solve_dr`` at n in {10, 30}, seeds 0-19;
+* ``solve_projected_gradient`` at n = 10, seeds 0-9.
+
+A change to the solvers, the inner QP or the factorizations must keep the
+first three identical and ``x`` within 1e-10.  Records of ``solve_dr_daqp``
+carry no ``solver`` key.  Rewrite the file only for a deliberate behaviour
+change, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -17,17 +22,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avisolve import GenSpec, random_avi, solve_dr_daqp
+import avisolve
+from avisolve import GenSpec, random_avi
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_qp.json"
-CASES = [(n, seed) for n in (10, 30) for seed in range(20)]
+DEFAULT_SOLVER = "solve_dr_daqp"
+CASES = (
+    [(DEFAULT_SOLVER, n, seed) for n in (10, 30) for seed in range(20)]
+    + [("solve_dr", n, seed) for n in (10, 30) for seed in range(20)]
+    + [("solve_projected_gradient", 10, seed) for seed in range(10)]
+)
 X_TOL = 1e-10
 
 
-def record(n: int, seed: int) -> dict:
+def record(solver: str, n: int, seed: int) -> dict:
     prob = random_avi(GenSpec(n=n, m=10 * n, gamma_asym=0.5, seed=seed))
-    sol, _ = solve_dr_daqp(prob)
-    return {
+    sol, _ = getattr(avisolve, solver)(prob)
+    head = {} if solver == DEFAULT_SOLVER else {"solver": solver}
+    return head | {
         "n": n,
         "m": 10 * n,
         "gamma": 0.5,
@@ -39,18 +51,24 @@ def record(n: int, seed: int) -> dict:
     }
 
 
-def _golden() -> dict[tuple[int, int], dict]:
-    return {(r["n"], r["seed"]): r for r in json.loads(GOLDEN.read_text())["records"]}
+def _golden() -> dict[tuple[str, int, int], dict]:
+    records = json.loads(GOLDEN.read_text())["records"]
+    return {(r.get("solver", DEFAULT_SOLVER), r["n"], r["seed"]): r for r in records}
 
 
 def test_golden_file_covers_every_case():
     assert sorted(_golden()) == sorted(CASES)
 
 
-@pytest.mark.parametrize("n,seed", CASES)
-def test_golden_trace(n, seed):
-    want = _golden()[(n, seed)]
-    got = record(n, seed)
+def _case_id(case) -> str:
+    solver, n, seed = case
+    return f"{n}-{seed}" if solver == DEFAULT_SOLVER else f"{solver}-{n}-{seed}"
+
+
+@pytest.mark.parametrize("solver,n,seed", CASES, ids=[_case_id(c) for c in CASES])
+def test_golden_trace(solver, n, seed):
+    want = _golden()[(solver, n, seed)]
+    got = record(solver, n, seed)
     assert got["status"] == want["status"]
     assert got["iterations"] == want["iterations"]
     assert got["active_set"] == want["active_set"]
@@ -60,5 +78,5 @@ def test_golden_trace(n, seed):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
-    lines = ",\n".join(json.dumps(record(n, s)) for n, s in CASES)
+    lines = ",\n".join(json.dumps(record(*case)) for case in CASES)
     GOLDEN.write_text('{"records": [\n' + lines + "\n]}\n")
