@@ -27,7 +27,8 @@ Three solvers are provided:
 * :func:`solve_projected_gradient` is a deliberately simple baseline:
   Euclidean projections of explicit gradient steps.  Never exact.
 
-All iteration-level norms are Euclidean.
+All three share one outer loop and run on a copy of the problem whose
+constraint rows have unit norm.  All iteration-level norms are Euclidean.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .errors import DimensionMismatch, NotPositiveDefinite, Singular
-from .linalg import GeneralFactor, SpdFactor, factor_general, factor_spd
+from .errors import DimensionMismatch, Singular
+from .linalg import GeneralFactor, factor_general, factor_spd
 from .qp import QpWorkspace, qp_setup, qp_solve
 
 __all__ = [
@@ -145,10 +147,10 @@ class SolverSettings:
 
 @dataclass
 class DrWorkspace:
-    """Per-solve mutable state for the splitting solvers.
+    """Factored data of the splitting iteration.
 
-    Not shared between concurrent solves.  delta tracks the best merit seen
-    at an accepted correction and is nonincreasing over the solve.
+    The inner QP's working set is the only state that changes during a
+    solve; the rest depends on the problem and rho alone.
     """
 
     problem: AviProblem
@@ -158,9 +160,6 @@ class DrWorkspace:
     update_factor: GeneralFactor
     qp: QpWorkspace
     h_delta: np.ndarray
-    delta: float = np.inf
-    stable_streak: int = 0
-    last_active_set: tuple[int, ...] | None = None
 
 
 @dataclass
@@ -399,72 +398,6 @@ def _distance(x: np.ndarray, reference) -> float | None:
     return float(np.linalg.norm(x - reference))
 
 
-def solve_dr(
-    p: AviProblem,
-    s: SolverSettings | None = None,
-    z0=None,
-    reference=None,
-) -> tuple[Solution, IterationTrace]:
-    """Plain splitting iteration without active-set acceleration.
-
-    Stops with status Tolerance once ||y_k - z_k|| <= eta, returning y_k and
-    the final QP's multipliers, or MaxIter at the iteration cap.  When
-    ``reference`` is given, per-iteration distances to it are traced.
-    """
-    s = s if s is not None else SolverSettings()
-    ws = build_dr_workspace(p, s)
-    z = _initial_iterate(p, z0)
-    trace = IterationTrace()
-    for k in range(s.max_iter):
-        res = qp_solve(ws.qp, qp_linear_term(ws, z), warm_start=True)
-        y = res.y
-        merit = float(np.linalg.norm(y - z))
-        if merit <= s.eta:
-            trace.append(
-                TraceRecord(
-                    k=k,
-                    merit=merit,
-                    active_set_size=len(res.active_set),
-                    newton_attempted=False,
-                    newton_accepted=False,
-                    inner_qp_iters=res.inner_iterations,
-                    dist_to_ref=_distance(y, reference),
-                    active_set=res.active_set,
-                )
-            )
-            sol = Solution(
-                x=y,
-                multipliers=res.multipliers,
-                active_set=res.active_set,
-                status=STATUS_TOLERANCE,
-                iterations=k + 1,
-                kkt_residual=kkt_residual(p, y, res.multipliers),
-            )
-            return sol, trace
-        z = dr_update(ws, y, z)
-        trace.append(
-            TraceRecord(
-                k=k,
-                merit=merit,
-                active_set_size=len(res.active_set),
-                newton_attempted=False,
-                newton_accepted=False,
-                inner_qp_iters=res.inner_iterations,
-                dist_to_ref=_distance(z, reference),
-                active_set=res.active_set,
-            )
-        )
-    sol = Solution(
-        x=y,
-        multipliers=res.multipliers,
-        active_set=res.active_set,
-        status=STATUS_MAXITER,
-        iterations=s.max_iter,
-        kkt_residual=kkt_residual(p, y, res.multipliers),
-    )
-    return sol, trace
-
-
 def _equilibrate(p: AviProblem) -> tuple[AviProblem, np.ndarray]:
     """Copy of p with each row of A x <= b scaled to unit Euclidean norm.
 
@@ -493,6 +426,153 @@ def _newton_candidate(p: AviProblem, act: tuple[int, ...]):
     if act:
         lam[list(act)] = lam_act
     return x, lam
+
+
+def _splitting_setup(p: AviProblem, s: SolverSettings):
+    """Inner QP, linear-term map and update of the splitting iteration."""
+    ws = build_dr_workspace(p, s)
+    return ws.qp, lambda z: qp_linear_term(ws, z), lambda y, z: dr_update(ws, y, z)
+
+
+def _gradient_setup(p: AviProblem, s: SolverSettings):
+    """Projection QP, linear-term map and update of projected gradient.
+
+    The projection of z - alpha (H z + f) is the QP with identity Hessian
+    and linear term alpha (H z + f) - z; the projected point is the next
+    iterate.
+    """
+    h_sym = 0.5 * (p.H + p.H.T)
+    factor_spd(h_sym)  # assumption check; raises NotPositiveDefinite
+    if s.pg_step is not None:
+        alpha = float(s.pg_step)
+    else:
+        mu = float(scipy.linalg.eigvalsh(h_sym, subset_by_index=[0, 0])[0])
+        alpha = mu / float(np.linalg.norm(p.H, "fro")) ** 2
+    proj = qp_setup(np.eye(p.n), p.A, p.b)
+    return proj, lambda z: alpha * (p.H @ z + p.f) - z, lambda y, z: y
+
+
+def _iterate(
+    user: AviProblem,
+    s: SolverSettings | None,
+    z0,
+    reference,
+    setup,
+    corrections: bool,
+    warm_start: bool = True,
+) -> tuple[Solution, IterationTrace]:
+    """The outer loop shared by all three solvers.
+
+    Each iteration solves the inner QP at z for y, with merit ||y - z||,
+    and either exits (merit <= eta, or an exact correction) or moves z by
+    the solver's update.  ``setup(p, s)`` returns the solver's QP workspace,
+    its linear-term map z -> g and its update (y, z) -> z.  With
+    ``corrections`` the active-set stabilization and the near-convergence
+    polish described in :func:`solve_dr_daqp` run as well.
+
+    The loop runs on a copy of ``user`` with unit-norm rows; the returned
+    multipliers and KKT residual belong to ``user``.
+    """
+    s = s if s is not None else SolverSettings()
+    p, row_norms = _equilibrate(user)
+    qp, linear_term, update = setup(p, s)
+    z = _initial_iterate(p, z0)
+    trace = IterationTrace()
+    delta = np.inf  # best merit at an accepted correction, nonincreasing
+    streak = 0
+    last_act = None  # sentinel: no attempt can fire at k = 0
+    for k in range(s.max_iter):
+        res = qp_solve(qp, linear_term(z), warm_start=warm_start)
+        y, act, lam, qp_iters = res.y, res.active_set, res.multipliers, res.inner_iterations
+        attempted = accepted = False
+        exact = None
+        if corrections:
+            streak = streak + 1 if act == last_act else 0
+            if streak >= s.stab_count:
+                attempted = True
+                candidate = _newton_candidate(p, act)
+                if candidate is None:
+                    streak = 0
+                elif check_solution(p, *candidate, s.eps_primal, s.eps_dual):
+                    exact = candidate
+                else:
+                    # a second QP at the candidate decides acceptance
+                    x_c = candidate[0]
+                    res2 = qp_solve(qp, linear_term(x_c), warm_start=warm_start)
+                    qp_iters += res2.inner_iterations
+                    new_merit = float(np.linalg.norm(res2.y - x_c))
+                    if new_merit < delta:
+                        delta = new_merit
+                        z, y, act, lam = x_c, res2.y, res2.active_set, res2.multipliers
+                        accepted = True
+                    else:
+                        streak = 0
+                        qp.set_working_set(act)
+
+        merit = float(np.linalg.norm(y - z))
+
+        # near-convergence polish: certify the current active set before
+        # falling back to an inexact exit
+        if corrections and exact is None and merit <= s.eta and (accepted or not attempted):
+            attempted = True
+            candidate = _newton_candidate(p, act)
+            if candidate is not None and check_solution(
+                p, *candidate, s.eps_primal, s.eps_dual
+            ):
+                exact = candidate
+
+        if exact is not None:
+            y, lam = exact  # the certified candidate is the solution
+        done = exact is not None or merit <= s.eta
+        if not done:
+            last_act = act
+            z = update(y, z)
+        trace.append(
+            TraceRecord(
+                k=k,
+                merit=merit,
+                active_set_size=len(act),
+                newton_attempted=attempted,
+                newton_accepted=accepted,
+                inner_qp_iters=qp_iters,
+                dist_to_ref=_distance(y if done else z, reference),
+                active_set=act,
+            )
+        )
+        if done:
+            break
+
+    if exact is not None:
+        status = STATUS_EXACT
+    elif merit <= s.eta:
+        status = STATUS_TOLERANCE
+    else:
+        status = STATUS_MAXITER
+    lam = lam / row_norms
+    sol = Solution(
+        x=y,
+        multipliers=lam,
+        active_set=act,
+        status=status,
+        iterations=len(trace),
+        kkt_residual=kkt_residual(user, y, lam),
+    )
+    return sol, trace
+
+
+def solve_dr(
+    p: AviProblem,
+    s: SolverSettings | None = None,
+    z0=None,
+    reference=None,
+) -> tuple[Solution, IterationTrace]:
+    """Plain splitting iteration without active-set acceleration.
+
+    Stops with status Tolerance once ||y_k - z_k|| <= eta, returning y_k and
+    the final QP's multipliers, or MaxIter at the iteration cap.  When
+    ``reference`` is given, per-iteration distances to it are traced.
+    """
+    return _iterate(p, s, z0, reference, _splitting_setup, corrections=False)
 
 
 def solve_dr_daqp(
@@ -526,133 +606,9 @@ def solve_dr_daqp(
     whatever scale the rows were given.  The returned multipliers and KKT
     residual belong to ``p`` itself.
     """
-    s = s if s is not None else SolverSettings()
-    user = p
-    p, row_norms = _equilibrate(user)
-
-    def solution(x, lam, act, status, iterations):
-        lam = lam / row_norms
-        return Solution(
-            x=x,
-            multipliers=lam,
-            active_set=act,
-            status=status,
-            iterations=iterations,
-            kkt_residual=kkt_residual(user, x, lam),
-        )
-
-    ws = build_dr_workspace(p, s)
-    z = _initial_iterate(p, z0)
-    trace = IterationTrace()
-    for k in range(s.max_iter):
-        res = qp_solve(ws.qp, qp_linear_term(ws, z), warm_start=warm_start)
-        y = res.y
-        act = res.active_set
-        lam = res.multipliers
-        qp_iters = res.inner_iterations
-
-        # no attempt can fire at k = 0: the previous set is a sentinel
-        if ws.last_active_set is not None and act == ws.last_active_set:
-            ws.stable_streak += 1
-        else:
-            ws.stable_streak = 0
-
-        attempted = False
-        accepted = False
-        exact = None
-        if ws.stable_streak >= s.stab_count:
-            attempted = True
-            pre_attempt_set = act
-            candidate = _newton_candidate(p, act)
-            correction_ran = False
-            if candidate is not None:
-                x_c, lam_c = candidate
-                if check_solution(p, x_c, lam_c, s.eps_primal, s.eps_dual):
-                    exact = candidate
-                else:
-                    res2 = qp_solve(ws.qp, qp_linear_term(ws, x_c), warm_start=warm_start)
-                    correction_ran = True
-                    qp_iters += res2.inner_iterations
-                    new_merit = float(np.linalg.norm(res2.y - x_c))
-                    if new_merit < ws.delta:
-                        ws.delta = new_merit
-                        z = x_c
-                        y = res2.y
-                        act = res2.active_set
-                        lam = res2.multipliers
-                        accepted = True
-            if exact is None and not accepted:
-                ws.stable_streak = 0
-                if correction_ran:
-                    ws.qp.set_working_set(pre_attempt_set)
-
-        merit = float(np.linalg.norm(y - z))
-
-        # near-convergence polish: certify the current active set before
-        # falling back to an inexact exit
-        if exact is None and merit <= s.eta and (accepted or not attempted):
-            attempted = True
-            candidate = _newton_candidate(p, act)
-            if candidate is not None and check_solution(
-                p, candidate[0], candidate[1], s.eps_primal, s.eps_dual
-            ):
-                exact = candidate
-
-        if exact is not None or merit <= s.eta:
-            x_report = exact[0] if exact is not None else y
-            trace.append(
-                TraceRecord(
-                    k=k,
-                    merit=merit,
-                    active_set_size=len(act),
-                    newton_attempted=attempted,
-                    newton_accepted=accepted,
-                    inner_qp_iters=qp_iters,
-                    dist_to_ref=_distance(x_report, reference),
-                    active_set=act,
-                )
-            )
-            if exact is not None:
-                return solution(*exact, act, STATUS_EXACT, k + 1), trace
-            return solution(y, lam, act, STATUS_TOLERANCE, k + 1), trace
-
-        ws.last_active_set = act
-        z = dr_update(ws, y, z)
-        trace.append(
-            TraceRecord(
-                k=k,
-                merit=merit,
-                active_set_size=len(act),
-                newton_attempted=attempted,
-                newton_accepted=accepted,
-                inner_qp_iters=qp_iters,
-                dist_to_ref=_distance(z, reference),
-                active_set=act,
-            )
-        )
-    return solution(y, lam, act, STATUS_MAXITER, s.max_iter), trace
-
-
-def _smallest_sym_eigenvalue(h_sym: np.ndarray) -> float:
-    """Smallest eigenvalue of an SPD matrix by bisection on factor_spd.
-
-    Finds the largest shift sigma with h_sym - sigma I still positive
-    definite; 60 halvings of the Frobenius-norm bracket leave no practical
-    slack.  Raises NotPositiveDefinite if h_sym itself is not SPD.
-    """
-    factor_spd(h_sym)
-    n = h_sym.shape[0]
-    eye = np.eye(n)
-    lo = 0.0
-    hi = float(np.linalg.norm(h_sym, "fro"))
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        try:
-            factor_spd(h_sym - mid * eye)
-            lo = mid
-        except NotPositiveDefinite:
-            hi = mid
-    return max(lo, hi * 2.0**-60)
+    return _iterate(
+        p, s, z0, reference, _splitting_setup, corrections=True, warm_start=warm_start
+    )
 
 
 def solve_projected_gradient(
@@ -669,52 +625,4 @@ def solve_projected_gradient(
     monotone choice.  Exits Tolerance when ||x+ - x|| <= eta, else MaxIter;
     never Exact.  Multipliers certify the final projection QP only.
     """
-    s = s if s is not None else SolverSettings()
-    h_sym = 0.5 * (p.H + p.H.T)
-    if s.pg_step is not None:
-        alpha = float(s.pg_step)
-        factor_spd(h_sym)  # assumption check
-    else:
-        mu = _smallest_sym_eigenvalue(h_sym)
-        big_l = float(np.linalg.norm(p.H, "fro"))
-        alpha = mu / big_l**2
-    proj = qp_setup(np.eye(p.n), p.A, p.b)
-    x = _initial_iterate(p, z0)
-    trace = IterationTrace()
-    for k in range(s.max_iter):
-        target = x - alpha * (p.H @ x + p.f)
-        res = qp_solve(proj, -target, warm_start=True)
-        x_new = res.y
-        merit = float(np.linalg.norm(x_new - x))
-        trace.append(
-            TraceRecord(
-                k=k,
-                merit=merit,
-                active_set_size=len(res.active_set),
-                newton_attempted=False,
-                newton_accepted=False,
-                inner_qp_iters=res.inner_iterations,
-                dist_to_ref=_distance(x_new, reference),
-                active_set=res.active_set,
-            )
-        )
-        if merit <= s.eta:
-            sol = Solution(
-                x=x_new,
-                multipliers=res.multipliers,
-                active_set=res.active_set,
-                status=STATUS_TOLERANCE,
-                iterations=k + 1,
-                kkt_residual=kkt_residual(p, x_new, res.multipliers),
-            )
-            return sol, trace
-        x = x_new
-    sol = Solution(
-        x=x_new,
-        multipliers=res.multipliers,
-        active_set=res.active_set,
-        status=STATUS_MAXITER,
-        iterations=s.max_iter,
-        kkt_residual=kkt_residual(p, x_new, res.multipliers),
-    )
-    return sol, trace
+    return _iterate(p, s, z0, reference, _gradient_setup, corrections=False)

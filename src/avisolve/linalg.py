@@ -2,18 +2,18 @@
 
 Two factorization routes are provided and kept deliberately separate:
 
-* :func:`factor_spd` computes a root-free LDL^T factorization (unit lower
-  triangular L, positive diagonal d, no pivoting) and refuses input whose
-  leading pivots are not safely positive.  This is the workhorse for the
-  regularized Hessians appearing in the inner quadratic programs, which are
-  symmetric positive definite by construction.
+* :func:`factor_spd` computes an LDL^T factorization (unit lower
+  triangular L, positive diagonal d, no pivoting) from LAPACK's Cholesky
+  factor and refuses input whose pivots are not safely positive.  This is
+  the workhorse for the regularized Hessians appearing in the inner
+  quadratic programs, which are symmetric positive definite by
+  construction.
 * :func:`factor_general` wraps an LU factorization with partial pivoting for
   square systems with no useful structure, such as saddle-point systems
   assembled from an active set.  Singularity is reported as an error rather
   than silently returning garbage.
 
-Both factor objects expose ``solve`` and can be passed to the module-level
-:func:`solve`, which dispatches on the factor type.
+Both factor objects expose ``solve``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dpotrf
 
 from .errors import DimensionMismatch, NotPositiveDefinite, Singular
 
@@ -31,7 +32,6 @@ __all__ = [
     "GeneralFactor",
     "factor_spd",
     "factor_general",
-    "solve",
 ]
 
 # Relative pivot floor for the LDL^T route, scaled by the mean diagonal.
@@ -52,7 +52,7 @@ def _require_square(matrix: np.ndarray, op: str) -> np.ndarray:
 
 
 class SpdFactor:
-    """Root-free LDL^T factorization of a symmetric positive definite matrix.
+    """LDL^T factorization of a symmetric positive definite matrix.
 
     Attributes
     ----------
@@ -123,25 +123,19 @@ def factor_spd(matrix: np.ndarray) -> SpdFactor:
     if np.max(np.abs(mat - mat.T)) > _SYM_REL * scale:
         raise NotPositiveDefinite("matrix is not symmetric to working precision")
 
-    pivot_floor = _PIVOT_REL * np.trace(mat) / n
-    lower = np.eye(n)
-    diag = np.zeros(n)
-    for j in range(n):
-        if j:
-            scaled = lower[j, :j] * diag[:j]
-            pivot = mat[j, j] - lower[j, :j] @ scaled
-        else:
-            pivot = mat[0, 0]
-        if pivot <= pivot_floor:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at position {j} is below the positive floor"
-            )
-        diag[j] = pivot
-        if j + 1 < n:
-            col = mat[j + 1 :, j]
-            if j:
-                col = col - lower[j + 1 :, :j] @ scaled
-            lower[j + 1 :, j] = col / pivot
+    # M = C C' with C lower triangular, so L = C / diag(C), d = diag(C)^2
+    chol, info = dpotrf(mat, lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefinite(f"leading minor of order {info} is not positive definite")
+    root = np.diag(chol)
+    diag = root**2
+    low = np.flatnonzero(diag <= _PIVOT_REL * np.trace(mat) / n)
+    if low.size:
+        j = int(low[0])
+        raise NotPositiveDefinite(
+            f"pivot {diag[j]:.3e} at position {j} is below the positive floor"
+        )
+    lower = np.ascontiguousarray(chol / root)
     return SpdFactor(lower, diag)
 
 
@@ -163,9 +157,3 @@ def factor_general(matrix: np.ndarray) -> GeneralFactor:
         raise Singular("matrix is singular to working precision")
     return GeneralFactor(lu, piv, n)
 
-
-def solve(factor: SpdFactor | GeneralFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve against a previously computed factor of either kind."""
-    if not isinstance(factor, (SpdFactor, GeneralFactor)):
-        raise TypeError(f"unsupported factor type {type(factor).__name__}")
-    return factor.solve(rhs)

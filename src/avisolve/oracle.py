@@ -116,39 +116,12 @@ def brute_force_solve(p: AviProblem) -> OracleResult:
     TooLarge for m > 16 and NoCertificate when nothing passes, which signals
     an assumption violation or a tolerance pathology.
     """
-    if p.m > _MAX_CONSTRAINTS:
-        raise TooLarge(f"oracle limited to m <= {_MAX_CONSTRAINTS}, got m = {p.m}")
-    row_norms = np.linalg.norm(p.A, axis=1) if p.m else np.zeros(0)
-    best = None  # (residual, x, lam_full, subset)
-    for size in range(0, min(p.n, p.m) + 1):
-        subsets = _independent_subsets(p.A, size, row_norms)
-        if not subsets:
-            continue
-        xs, lams = _solve_batch(p, subsets)
-        finite = np.all(np.isfinite(xs), axis=1)
-        if size:
-            finite &= np.all(np.isfinite(lams), axis=1)
-        slack = p.b - xs @ p.A.T if p.m else np.zeros((len(subsets), 0))
-        primal_ok = (
-            np.min(slack, axis=1) >= -_FEAS_TOL if p.m else np.ones(len(subsets), bool)
-        )
-        dual_ok = (
-            np.min(lams, axis=1) >= -_FEAS_TOL if size else np.ones(len(subsets), bool)
-        )
-        for i in np.flatnonzero(finite & primal_ok & dual_ok):
-            lam_full = np.zeros(p.m)
-            subset = subsets[i]
-            if size:
-                lam_full[list(subset)] = lams[i]
-            residual = kkt_residual(p, xs[i], lam_full)
-            if best is None or residual < best[0]:
-                best = (residual, xs[i], lam_full, subset)
-    if best is None:
+    candidates = certified_candidates(p)
+    if not candidates:
         raise NoCertificate("no active set yields a feasible primal-dual candidate")
-
-    _, x, lam_full, subset = best
-    active = tuple(subset)
-    inactive = [i for i in range(p.m) if i not in subset]
+    # min keeps the first of equal residuals
+    active, x, lam_full = min(candidates, key=lambda c: kkt_residual(p, c[1], c[2]))
+    inactive = [i for i in range(p.m) if i not in active]
     slack = p.b - p.A @ x if p.m else np.zeros(0)
     min_active_mult = float(np.min(lam_full[list(active)])) if active else np.inf
     min_inactive_slack = float(np.min(slack[inactive])) if inactive else np.inf

@@ -46,8 +46,9 @@ _EPS_DUAL = 1e-10
 # Relative scale for the primal feasibility tolerance (times 1 + max|b|).
 _EPS_PRIMAL_REL = 1e-8
 # A candidate row counts as dependent on the working set when the squared
-# norm of its reduced direction falls below this fraction of a' G^{-1} a.
-_DEP_REL = 1e-20
+# norm of its reduced direction falls below this fraction of a' G^{-1} a, or
+# when the working set already holds min(m, n) rows.
+_DEP_REL = 1e-14
 
 
 @dataclass
@@ -109,12 +110,11 @@ class QpWorkspace:
         self._row_scale = 1.0 + np.linalg.norm(A, axis=1) if self.m else np.zeros(0)
         self._S: list[int] = []
         # rows 0..q-1 hold A_S and W' (W = G^{-1} A_S'); independent rows
-        # number at most n, so the blocks rarely need to grow
+        # number at most min(m, n), so the blocks never grow
         cap = min(self.m, self.n)
         self._AS = np.empty((cap, self.n))
         self._WT = np.empty((cap, self.n))
         self._L = np.zeros((0, 0))
-        self._change_count = 0
         self.total_inner_iterations = 0
 
     @property
@@ -130,7 +130,7 @@ class QpWorkspace:
         acceleration step in the outer solver.  Rebuild work is not charged
         to the iteration counters.
         """
-        saved = (self._change_count, self.total_inner_iterations)
+        saved = self.total_inner_iterations
         self._S = []
         self._L = np.zeros((0, 0))
         for i in indices:
@@ -142,24 +142,27 @@ class QpWorkspace:
             aw = float(a @ w)
             if aw <= 0.0:
                 continue  # zero row carries no geometry
-            q = len(self._S)
-            if q:
-                l = _lower_solve(self._L, self._AS[:q] @ w)
-                d2 = aw - float(l @ l)
-            else:
-                l = np.zeros(0)
-                d2 = aw
+            l, d2 = self._reduce(w, aw)
             if d2 <= _DEP_REL * aw:
                 continue
             self._append(i, w, l, np.sqrt(d2))
-        self._change_count, self.total_inner_iterations = saved
+        self.total_inner_iterations = saved
+
+    def _reduce(self, w: np.ndarray, aw: float) -> tuple[np.ndarray, float]:
+        """L^{-1} A_S w and the squared norm of the entering row's reduced
+        direction, a' G^{-1} a - |L^{-1} A_S w|^2, for w = G^{-1} a.
+
+        The norm reads 0 once the working set is full: a further row then
+        depends on the working set whatever roundoff says.
+        """
+        q = len(self._S)
+        if not q:
+            return np.zeros(0), aw
+        l = _lower_solve(self._L, self._AS[:q] @ w)
+        return l, (aw - float(l @ l) if q < len(self._AS) else 0.0)
 
     def _append(self, idx: int, w: np.ndarray, l: np.ndarray, d: float) -> None:
         q = len(self._S)
-        if q == len(self._AS):
-            extra = np.empty((q + 1, self.n))
-            self._AS = np.concatenate((self._AS, extra))
-            self._WT = np.concatenate((self._WT, extra))
         self._AS[q] = self.A[idx]
         self._WT[q] = w
         grown = np.zeros((q + 1, q + 1))
@@ -168,7 +171,6 @@ class QpWorkspace:
         grown[q, q] = d
         self._L = grown
         self._S.append(idx)
-        self._change_count += 1
         self.total_inner_iterations += 1
 
     def _drop(self, pos: int) -> None:
@@ -177,7 +179,6 @@ class QpWorkspace:
         self._AS[pos : q - 1] = self._AS[pos + 1 : q]
         self._WT[pos : q - 1] = self._WT[pos + 1 : q]
         self._L = _delete_factor_row(self._L, pos)
-        self._change_count += 1
         self.total_inner_iterations += 1
 
     def _msolve(self, u: np.ndarray) -> np.ndarray:
@@ -226,7 +227,7 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
     if not warm_start and ws._S:
         ws.set_working_set([])
 
-    start_changes = ws._change_count
+    start_changes = ws.total_inner_iterations
     cap = 100 * (ws.m + ws.n)
     g0 = ws.hessian_factor.solve(g)
 
@@ -235,7 +236,7 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
     y, lam = ws._eqp(g0)
     while lam.size and float(np.min(lam)) < -ws.eps_dual:
         ws._drop(int(np.argmin(lam)))
-        if ws._change_count - start_changes > cap:
+        if ws.total_inner_iterations - start_changes > cap:
             raise CycleLimit("working-set change budget exhausted in warm phase")
         y, lam = ws._eqp(g0)
 
@@ -256,22 +257,15 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
         aw = float(a_p @ w)
         acc = 0.0  # multiplier accumulated for the entering constraint
         while True:
-            if ws._change_count - start_changes > cap:
+            if ws.total_inner_iterations - start_changes > cap:
                 raise CycleLimit("working-set change budget exhausted")
             vp = float(a_p @ y - ws.b[p])
             if vp <= ws.eps_primal:
                 break  # resolved by drops taken along the way
             q = len(ws._S)
-            if q:
-                l = _lower_solve(ws._L, ws._AS[:q] @ w)
-                r = _upper_solve(ws._L, l)
-                d2 = aw - float(l @ l)
-                z = w - ws._WT[:q].T @ r
-            else:
-                l = np.zeros(0)
-                r = np.zeros(0)
-                d2 = aw
-                z = w
+            l, d2 = ws._reduce(w, aw)
+            r = _upper_solve(ws._L, l) if q else l
+            z = w - ws._WT[:q].T @ r if q else w
 
             positive = np.flatnonzero(r > 0.0)
             if d2 > _DEP_REL * aw and d2 > 0.0:
@@ -324,6 +318,6 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
         y=y,
         multipliers=multipliers,
         active_set=tuple(sorted(ws._S)),
-        inner_iterations=ws._change_count - start_changes,
+        inner_iterations=ws.total_inner_iterations - start_changes,
     )
     return result

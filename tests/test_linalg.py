@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from avisolve import DimensionMismatch, NotPositiveDefinite, Singular
-from avisolve.linalg import GeneralFactor, SpdFactor, factor_general, factor_spd, solve
+from avisolve.linalg import factor_general, factor_spd
 
 
 def test_factor_spd_identity():
@@ -38,6 +38,12 @@ def test_factor_spd_rejects_indefinite():
 def test_factor_spd_rejects_asymmetric():
     with pytest.raises(NotPositiveDefinite):
         factor_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def test_factor_spd_rejects_pivot_below_floor():
+    # positive definite, but the second pivot sits below 1e-12 * trace / n
+    with pytest.raises(NotPositiveDefinite):
+        factor_spd(np.diag([1.0, 1e-14]))
 
 
 def test_factor_spd_rejects_nonsquare():
@@ -74,29 +80,24 @@ def test_factor_general_singular():
 
 def test_solve_dispatch_diagonal():
     factor = factor_spd(np.array([[2.0, 0.0], [0.0, 2.0]]))
-    np.testing.assert_allclose(solve(factor, np.array([2.0, 4.0])), [1.0, 2.0])
+    np.testing.assert_allclose(factor.solve(np.array([2.0, 4.0])), [1.0, 2.0])
 
 
 def test_solve_dispatch_zero_rhs():
     spd = factor_spd(np.array([[4.0, 2.0], [2.0, 3.0]]))
     gen = factor_general(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    np.testing.assert_allclose(solve(spd, np.zeros(2)), np.zeros(2))
-    np.testing.assert_allclose(solve(gen, np.zeros(2)), np.zeros(2))
+    np.testing.assert_allclose(spd.solve(np.zeros(2)), np.zeros(2))
+    np.testing.assert_allclose(gen.solve(np.zeros(2)), np.zeros(2))
 
 
 def test_solve_dimension_mismatch():
     factor = factor_spd(np.eye(3))
     with pytest.raises(DimensionMismatch):
-        solve(factor, np.zeros(4))
-
-
-def test_solve_rejects_foreign_factor():
-    with pytest.raises(TypeError):
-        solve(np.eye(2), np.zeros(2))
+        factor.solve(np.zeros(4))
 
 
 def test_round_trip_spd():
-    # solve(factor, M x) recovers x
+    # factor.solve(M x) recovers x
     for seed in range(20):
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((4, 4))

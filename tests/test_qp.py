@@ -260,16 +260,34 @@ def test_inner_iterations_parity():
             assert (res.inner_iterations - net) % 2 == 0
 
 
-def test_row_blocks_hold_every_accepted_row():
-    # three rows in the plane: roundoff can let the third past the
-    # dependency test, so the row blocks must hold more than n rows
-    for seed in range(20):
+def test_full_working_set_admits_no_more_rows():
+    # three random rows in the plane: the third depends on the first two,
+    # and roundoff must not let it in, which would leave L near singular
+    for seed in range(50):
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((2, 2))
         hessian = g.T @ g + np.eye(2)
         A = rng.standard_normal((3, 2))
         ws = qp_setup(hessian, A, np.ones(3))
         ws.set_working_set([0, 1, 2])
-        q = len(ws.working_set)
-        assert ws._L.shape == (q, q)
-        assert np.array_equal(ws._AS[:q], A[list(ws.working_set)])
+        assert ws.working_set == (0, 1)
+        assert np.linalg.cond(ws._L) < 1e6
+        _assert_factor_consistent(ws, hessian, A)
+
+
+def test_dependent_row_on_full_working_set_is_infeasible():
+    # n rows plus a negative combination of them with a bound below what
+    # the combination allows: once the n rows fill the working set, the
+    # last row is dependent and certifies infeasibility
+    n = 3
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n))
+        A0 = rng.standard_normal((n, n))
+        c = rng.uniform(0.5, 2.0, n)
+        b0 = rng.uniform(0.5, 1.5, n)
+        A = np.vstack([A0, -(c @ A0)])
+        b = np.append(b0, -(c @ b0) - 1.0)
+        ws = qp_setup(g.T @ g + np.eye(n), A, b)
+        with pytest.raises(Infeasible):
+            qp_solve(ws, rng.standard_normal(n))
