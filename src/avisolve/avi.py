@@ -33,6 +33,7 @@ constraint rows have unit norm.  All iteration-level norms are Euclidean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -328,19 +329,19 @@ def check_solution(
     lam = np.asarray(multipliers, dtype=float)
     if x.shape != (p.n,) or lam.shape != (p.m,):
         raise DimensionMismatch("solution candidate has wrong dimensions")
-    f_scale = 1.0 + (np.max(np.abs(p.f)) if p.n else 0.0)
+    f_scale = 1.0 + (abs(p.f).max() if p.n else 0.0)
     stat = p.H @ x + p.f + (p.A.T @ lam if p.m else 0.0)
-    if np.max(np.abs(stat)) > eps_dual * f_scale:
+    if abs(stat).max() > eps_dual * f_scale:
         return False
     if p.m == 0:
         return True
-    b_scale = 1.0 + np.max(np.abs(p.b))
+    b_scale = 1.0 + abs(p.b).max()
     slack = p.b - p.A @ x
-    if np.min(slack) < -eps_primal * b_scale:
+    if slack.min() < -eps_primal * b_scale:
         return False
-    if np.min(lam) < -eps_dual:
+    if lam.min() < -eps_dual:
         return False
-    return bool(np.max(np.abs(lam * slack)) <= eps_primal * b_scale)
+    return bool(abs(lam * slack).max() <= eps_primal * b_scale)
 
 
 def kkt_residual(p: AviProblem, x: np.ndarray, multipliers: np.ndarray) -> float:
@@ -348,15 +349,15 @@ def kkt_residual(p: AviProblem, x: np.ndarray, multipliers: np.ndarray) -> float
     conditions tested by check_solution (zero at an exact solution)."""
     x = np.asarray(x, dtype=float)
     lam = np.asarray(multipliers, dtype=float)
-    f_scale = 1.0 + np.max(np.abs(p.f))
+    f_scale = 1.0 + abs(p.f).max()
     stat = p.H @ x + p.f + (p.A.T @ lam if p.m else 0.0)
-    parts = [float(np.max(np.abs(stat))) / f_scale]
+    parts = [float(abs(stat).max()) / f_scale]
     if p.m:
-        b_scale = 1.0 + np.max(np.abs(p.b))
+        b_scale = 1.0 + abs(p.b).max()
         slack = p.b - p.A @ x
-        parts.append(max(0.0, float(-np.min(slack))) / b_scale)
-        parts.append(max(0.0, float(-np.min(lam))))
-        parts.append(float(np.max(np.abs(lam * slack))) / b_scale)
+        parts.append(max(0.0, float(-slack.min())) / b_scale)
+        parts.append(max(0.0, float(-lam.min())))
+        parts.append(float(abs(lam * slack).max()) / b_scale)
     return max(parts)
 
 
@@ -500,7 +501,8 @@ def _iterate(
                     x_c = candidate[0]
                     res2 = qp_solve(qp, linear_term(x_c), warm_start=warm_start)
                     qp_iters += res2.inner_iterations
-                    new_merit = float(np.linalg.norm(res2.y - x_c))
+                    d = res2.y - x_c
+                    new_merit = math.sqrt(d @ d)
                     if new_merit < delta:
                         delta = new_merit
                         z, y, act, lam = x_c, res2.y, res2.active_set, res2.multipliers
@@ -509,7 +511,8 @@ def _iterate(
                         streak = 0
                         qp.set_working_set(act)
 
-        merit = float(np.linalg.norm(y - z))
+        d = y - z
+        merit = math.sqrt(d @ d)
 
         # near-convergence polish: certify the current active set before
         # falling back to an inexact exit

@@ -8,7 +8,7 @@ Two factorization routes are provided and kept deliberately separate:
   the workhorse for the regularized Hessians appearing in the inner
   quadratic programs, which are symmetric positive definite by
   construction.
-* :func:`factor_general` wraps an LU factorization with partial pivoting for
+* :func:`factor_general` is LAPACK's LU factorization with partial pivoting for
   square systems with no useful structure, such as saddle-point systems
   assembled from an active set.  Singularity is reported as an error rather
   than silently returning garbage.
@@ -18,12 +18,10 @@ Both factor objects expose ``solve``.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dtrsv
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf
 
 from .errors import DimensionMismatch, NotPositiveDefinite, Singular
 
@@ -106,7 +104,7 @@ class GeneralFactor:
             raise DimensionMismatch(
                 f"rhs has leading dimension {b.shape[0]}, factor is {self.n}x{self.n}"
             )
-        return scipy.linalg.lu_solve((self._lu, self._piv), b, check_finite=False)
+        return dgetrs(self._lu, self._piv, b)[0]
 
 
 def factor_spd(matrix: np.ndarray) -> SpdFactor:
@@ -119,8 +117,8 @@ def factor_spd(matrix: np.ndarray) -> SpdFactor:
     """
     mat = _require_square(matrix, "factor_spd")
     n = mat.shape[0]
-    scale = np.max(np.abs(mat))
-    if np.max(np.abs(mat - mat.T)) > _SYM_REL * scale:
+    scale = abs(mat).max()
+    if abs(mat - mat.T).max() > _SYM_REL * scale:
         raise NotPositiveDefinite("matrix is not symmetric to working precision")
 
     # M = C C' with C lower triangular, so L = C / diag(C), d = diag(C)^2
@@ -129,7 +127,7 @@ def factor_spd(matrix: np.ndarray) -> SpdFactor:
         raise NotPositiveDefinite(f"leading minor of order {info} is not positive definite")
     root = np.diag(chol)
     diag = root**2
-    low = np.flatnonzero(diag <= _PIVOT_REL * np.trace(mat) / n)
+    low = (diag <= _PIVOT_REL * mat.trace() / n).nonzero()[0]
     if low.size:
         j = int(low[0])
         raise NotPositiveDefinite(
@@ -147,13 +145,10 @@ def factor_general(matrix: np.ndarray) -> GeneralFactor:
     """
     mat = _require_square(matrix, "factor_general")
     n = mat.shape[0]
-    with warnings.catch_warnings():
-        # scipy warns on exactly-zero pivots; the check below turns that case
-        # (and near-singular ones) into a Singular error instead.
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
-    row_scale = np.max(np.sum(np.abs(mat), axis=1))
-    if np.min(np.abs(np.diag(lu))) <= _SINGULAR_REL * row_scale:
+    # an exactly zero pivot (info > 0) fails the diagonal test below
+    lu, piv, _ = dgetrf(mat)
+    row_scale = abs(mat).sum(axis=1).max()
+    if abs(lu.diagonal()).min() <= _SINGULAR_REL * row_scale:
         raise Singular("matrix is singular to working precision")
     return GeneralFactor(lu, piv, n)
 

@@ -18,18 +18,19 @@ keeps the working-set multipliers nonnegative, dropping blocking constraints
 along the way.  Iterates stay dual feasible throughout, so a warm start from
 a nearly correct working set costs almost nothing.
 
-State per working set: the indices themselves, the rows ``A_S`` and the
-rows of ``W' = (G^{-1} A_S')'`` in contiguous row blocks, and a lower
-Cholesky factor L of ``M = A_S W``.  Adding a constraint extends L by one
-row.  Dropping one deletes a row and a column of M, which stays positive
-definite; with ``R = L'`` that is a column deletion from R, and Givens
-rotations (``scipy.linalg.qr_delete``) restore the triangle in O(q^2)
+State per working set: the indices themselves, the rows ``A_S``, the rows
+of ``W' = (G^{-1} A_S')'`` and the bounds ``b_S`` in contiguous row blocks,
+and a lower Cholesky factor L of ``M = A_S W``.  Adding a constraint extends
+L by one row.  Dropping one deletes a row and a column of M, which stays
+positive definite; with ``R = L'`` that is a column deletion from R, and
+Givens rotations (``scipy.linalg.qr_delete``) restore the triangle in O(q^2)
 without recomputing ``A_S W``.  Triangular solves against L call BLAS
 ``dtrsv`` directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,17 @@ def _delete_factor_row(L: np.ndarray, k: int) -> np.ndarray:
         np.eye(q), L.T, k, which="col", overwrite_qr=True, check_finite=False
     )
     R = R[: q - 1]
-    R *= np.where(np.diag(R) < 0.0, -1.0, 1.0)[:, None]
+    R[R.diagonal() < 0.0] *= -1.0
     return np.ascontiguousarray(R.T)
+
+
+def _blocking_row(S: list[int], lam: np.ndarray, r: np.ndarray, positive: np.ndarray):
+    """Largest step t keeping lam - t r >= 0 on ``positive`` (where r > 0)
+    and the position of the blocking row; ties go to the smallest constraint index."""
+    ratios = lam[positive] / r[positive]
+    t = ratios.min()
+    tied = positive[ratios <= t]
+    return float(t), min(tied.tolist(), key=S.__getitem__)
 
 
 class QpWorkspace:
@@ -109,11 +119,12 @@ class QpWorkspace:
         # selection scale: 1 + Euclidean norm of each constraint row
         self._row_scale = 1.0 + np.linalg.norm(A, axis=1) if self.m else np.zeros(0)
         self._S: list[int] = []
-        # rows 0..q-1 hold A_S and W' (W = G^{-1} A_S'); independent rows
-        # number at most min(m, n), so the blocks never grow
+        # rows 0..q-1 hold A_S, W' (W = G^{-1} A_S') and b_S; independent
+        # rows number at most min(m, n), so the blocks never grow
         cap = min(self.m, self.n)
         self._AS = np.empty((cap, self.n))
         self._WT = np.empty((cap, self.n))
+        self._bS = np.empty(cap)
         self._L = np.zeros((0, 0))
         self.total_inner_iterations = 0
 
@@ -127,16 +138,17 @@ class QpWorkspace:
         """Reset the working set, skipping rows dependent on earlier ones.
 
         Used for cold starts and to rewind the state after a rejected
-        acceleration step in the outer solver.  Rebuild work is not charged
-        to the iteration counters.
+        acceleration step in the outer solver.  A bad index raises before the
+        state changes.  Only :func:`qp_solve` counts working-set changes, so
+        rebuild work is never charged to ``total_inner_iterations``.
         """
-        saved = self.total_inner_iterations
+        indices = [int(i) for i in indices]
+        for i in indices:
+            if not 0 <= i < self.m:
+                raise DimensionMismatch(f"constraint index {i} out of range")
         self._S = []
         self._L = np.zeros((0, 0))
         for i in indices:
-            i = int(i)
-            if not 0 <= i < self.m:
-                raise DimensionMismatch(f"constraint index {i} out of range")
             a = self.A[i]
             w = self.hessian_factor.solve(a)
             aw = float(a @ w)
@@ -145,8 +157,7 @@ class QpWorkspace:
             l, d2 = self._reduce(w, aw)
             if d2 <= _DEP_REL * aw:
                 continue
-            self._append(i, w, l, np.sqrt(d2))
-        self.total_inner_iterations = saved
+            self._append(i, w, l, math.sqrt(d2))
 
     def _reduce(self, w: np.ndarray, aw: float) -> tuple[np.ndarray, float]:
         """L^{-1} A_S w and the squared norm of the entering row's reduced
@@ -165,21 +176,21 @@ class QpWorkspace:
         q = len(self._S)
         self._AS[q] = self.A[idx]
         self._WT[q] = w
+        self._bS[q] = self.b[idx]
         grown = np.zeros((q + 1, q + 1))
         grown[:q, :q] = self._L
         grown[q, :q] = l
         grown[q, q] = d
         self._L = grown
         self._S.append(idx)
-        self.total_inner_iterations += 1
 
     def _drop(self, pos: int) -> None:
         q = len(self._S)
         self._S.pop(pos)
         self._AS[pos : q - 1] = self._AS[pos + 1 : q]
         self._WT[pos : q - 1] = self._WT[pos + 1 : q]
+        self._bS[pos : q - 1] = self._bS[pos + 1 : q]
         self._L = _delete_factor_row(self._L, pos)
-        self.total_inner_iterations += 1
 
     def _msolve(self, u: np.ndarray) -> np.ndarray:
         """Solve M r = u against the Cholesky factor of A_S W."""
@@ -194,7 +205,7 @@ class QpWorkspace:
         q = len(self._S)
         if not q:
             return -g0.copy(), np.zeros(0)
-        rhs = self.b[self._S] + self._AS[:q] @ g0
+        rhs = self._bS[:q] + self._AS[:q] @ g0
         lam = -self._msolve(rhs)
         y = -g0 - self._WT[:q].T @ lam
         return y, lam
@@ -229,95 +240,92 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
 
     start_changes = ws.total_inner_iterations
     cap = 100 * (ws.m + ws.n)
+    A, b, eps_primal, S = ws.A, ws.b, ws.eps_primal, ws._S
     g0 = ws.hessian_factor.solve(g)
 
     # Phase 1: re-solve on the inherited working set, shedding constraints
     # whose multipliers come out negative under the new linear term.
     y, lam = ws._eqp(g0)
-    while lam.size and float(np.min(lam)) < -ws.eps_dual:
-        ws._drop(int(np.argmin(lam)))
+    while lam.size:
+        k = int(lam.argmin())
+        if not lam[k] < -ws.eps_dual:
+            break
+        ws._drop(k)
+        ws.total_inner_iterations += 1
         if ws.total_inner_iterations - start_changes > cap:
             raise CycleLimit("working-set change budget exhausted in warm phase")
         y, lam = ws._eqp(g0)
+    settled = ws.total_inner_iterations
 
     # Phase 2: dual active-set main loop.
     zero_steps = 0
     while ws.m:
-        viol = ws.A @ y - ws.b
-        if float(np.max(viol)) <= ws.eps_primal:
+        viol = A @ y
+        viol -= b
+        if viol.max() <= eps_primal:
             break
         if zero_steps >= ws.m + ws.n:
             # anti-cycling: fall back to smallest violated index
-            p = int(np.flatnonzero(viol > ws.eps_primal)[0])
+            p = int((viol > eps_primal).argmax())
         else:
-            scaled = np.where(viol > ws.eps_primal, viol / ws._row_scale, -np.inf)
-            p = int(np.argmax(scaled))
-        a_p = ws.A[p]
+            p = int(np.where(viol > eps_primal, viol / ws._row_scale, -np.inf).argmax())
+        a_p = A[p]
         w = ws.hessian_factor.solve(a_p)
         aw = float(a_p @ w)
         acc = 0.0  # multiplier accumulated for the entering constraint
         while True:
             if ws.total_inner_iterations - start_changes > cap:
                 raise CycleLimit("working-set change budget exhausted")
-            vp = float(a_p @ y - ws.b[p])
-            if vp <= ws.eps_primal:
+            vp = float(a_p @ y - b[p])
+            if vp <= eps_primal:
                 break  # resolved by drops taken along the way
-            q = len(ws._S)
+            q = len(S)
             l, d2 = ws._reduce(w, aw)
             r = _upper_solve(ws._L, l) if q else l
-            z = w - ws._WT[:q].T @ r if q else w
-
-            positive = np.flatnonzero(r > 0.0)
+            positive = (r > 0.0).nonzero()[0]
             if d2 > _DEP_REL * aw and d2 > 0.0:
                 t_full = vp / d2
                 if positive.size:
-                    ratios = lam[positive] / r[positive]
-                    t_drop = float(np.min(ratios))
-                    # ties broken toward the smallest constraint index
-                    tied = positive[np.flatnonzero(ratios <= t_drop)]
-                    k = int(min(tied, key=lambda pos: ws._S[pos]))
+                    t_drop, k = _blocking_row(S, lam, r, positive)
                 else:
-                    t_drop = np.inf
-                    k = -1
+                    t_drop, k = np.inf, -1
                 t = min(t_full, t_drop)
                 zero_steps = 0 if t > 0.0 else zero_steps + 1
-                y = y - t * z
+                y = y - t * (w - ws._WT[:q].T @ r if q else w)
                 if q:
                     lam = lam - t * r
                 acc += t
                 if t_full <= t_drop:
-                    ws._append(p, w, l, np.sqrt(d2))
-                    lam = np.append(lam, acc)
+                    ws._append(p, w, l, math.sqrt(d2))
+                    ws.total_inner_iterations += 1
+                    lam = np.concatenate((lam, (acc,)))
                     break
-                ws._drop(k)
-                lam = np.delete(lam, k)
             else:
                 # the entering row is dependent on the working set; move in
                 # the dual only, or certify infeasibility
                 if not positive.size:
                     raise Infeasible(f"constraint {p} is inconsistent with the working set")
-                ratios = lam[positive] / r[positive]
-                t = float(np.min(ratios))
-                tied = positive[np.flatnonzero(ratios <= t)]
-                k = int(min(tied, key=lambda pos: ws._S[pos]))
+                t, k = _blocking_row(S, lam, r, positive)
                 zero_steps = 0 if t > 0.0 else zero_steps + 1
                 lam = lam - t * r
                 acc += t
-                ws._drop(k)
-                lam = np.delete(lam, k)
+            ws._drop(k)
+            ws.total_inner_iterations += 1
+            lam = np.concatenate((lam[:k], lam[k + 1 :]))
 
     # Final polish: re-solving on the settled working set removes the
     # roundoff drift of the incremental updates and makes repeat calls with
-    # the same linear term exact no-ops.
-    y, lam = ws._eqp(g0)
+    # the same linear term exact no-ops.  Without a change since phase 1,
+    # (y, lam) already is that re-solve.
+    if ws.total_inner_iterations != settled:
+        y, lam = ws._eqp(g0)
 
     multipliers = np.zeros(ws.m)
-    if ws._S:
-        multipliers[ws._S] = lam
-    result = QpResult(
+    if S:
+        multipliers[S] = lam
+    return QpResult(
         y=y,
         multipliers=multipliers,
-        active_set=tuple(sorted(ws._S)),
+        active_set=tuple(sorted(S)),
         inner_iterations=ws.total_inner_iterations - start_changes,
     )
-    return result

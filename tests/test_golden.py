@@ -8,9 +8,12 @@ gamma = 0.5, with default settings:
 * ``solve_projected_gradient`` at n = 10, seeds 0-9.
 
 A change to the solvers, the inner QP or the factorizations must keep the
-first three identical and ``x`` within 1e-10.  Records of ``solve_dr_daqp``
-carry no ``solver`` key.  Rewrite the file only for a deliberate behaviour
-change, and say so in CHANGES.md:
+first three identical and ``x`` within 1e-10.  The pivot path of
+``solve_dr_daqp`` is pinned too: ``QP_CHANGES`` holds, per case, the total
+of ``TraceRecord.inner_qp_iters`` over the solve (inner-QP adds plus drops),
+and moving one is a behaviour change like rewriting a record.  Records of
+``solve_dr_daqp`` carry no ``solver`` key.  Rewrite the file only for a
+deliberate behaviour change, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -33,6 +36,19 @@ CASES = (
     + [("solve_projected_gradient", 10, seed) for seed in range(10)]
 )
 X_TOL = 1e-10
+# (n, seed) -> inner-QP working-set changes of the whole solve_dr_daqp solve
+QP_CHANGES = {
+    (10, seed): total
+    for seed, total in enumerate(
+        [28, 38, 22, 24, 22, 36, 34, 15, 33, 34, 54, 46, 38, 22, 36, 34, 24, 20, 26, 36]
+    )
+} | {
+    (30, seed): total
+    for seed, total in enumerate(
+        [130, 116, 96, 96, 120, 136, 120, 122, 130, 133,
+         129, 134, 120, 154, 146, 136, 128, 130, 112, 108]
+    )
+}
 
 
 def record(solver: str, n: int, seed: int) -> dict:
@@ -73,6 +89,15 @@ def test_golden_trace(solver, n, seed):
     assert got["iterations"] == want["iterations"]
     assert got["active_set"] == want["active_set"]
     assert np.max(np.abs(np.array(got["x"]) - np.array(want["x"]))) <= X_TOL
+
+
+@pytest.mark.parametrize(
+    "n,seed", sorted(QP_CHANGES), ids=[f"{n}-{seed}" for n, seed in sorted(QP_CHANGES)]
+)
+def test_golden_inner_qp_changes(n, seed):
+    prob = random_avi(GenSpec(n=n, m=10 * n, gamma_asym=0.5, seed=seed))
+    _, trace = avisolve.solve_dr_daqp(prob)
+    assert sum(r.inner_qp_iters for r in trace) == QP_CHANGES[(n, seed)]
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """Tests for the dense factorization layer."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from avisolve import DimensionMismatch, NotPositiveDefinite, Singular
 from avisolve.linalg import factor_general, factor_spd
@@ -76,6 +79,29 @@ def test_factor_general_residual():
 def test_factor_general_singular():
     with pytest.raises(Singular):
         factor_general(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+def test_factor_general_exact_zero_pivot_is_silent():
+    # LU meets an exactly zero pivot here; that is Singular, with no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(Singular):
+            factor_general(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    assert caught == []
+
+
+def test_factor_general_matches_scipy_lu_bit_for_bit():
+    # the factor calls the LAPACK routines that lu_factor/lu_solve wrap
+    for n in (1, 4, 12, 40):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        factor = factor_general(m)
+        reference = scipy.linalg.lu_factor(m)
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            got = factor.solve(rhs)
+            want = scipy.linalg.lu_solve(reference, rhs)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_solve_dispatch_diagonal():

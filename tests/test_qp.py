@@ -125,14 +125,17 @@ def test_warm_start_consistency():
 
 
 def test_warm_repeat_is_free():
-    # repeating the same linear term performs zero working-set changes
+    # repeating the same linear term performs zero working-set changes and
+    # returns exactly what the first call returned: that call ended with the
+    # re-solve on the settled working set, which the repeat reproduces
     for seed in range(10):
         hessian, linear, A, b = _random_instance(seed, n=3, m=10)
         ws = qp_setup(hessian, A, b)
         first = qp_solve(ws, linear)
         again = qp_solve(ws, linear, warm_start=True)
         assert again.inner_iterations == 0
-        np.testing.assert_allclose(again.y, first.y, atol=1e-12)
+        assert again.y.tobytes() == first.y.tobytes()
+        assert again.multipliers.tobytes() == first.multipliers.tobytes()
         assert again.active_set == first.active_set
 
 
@@ -186,6 +189,21 @@ def test_set_working_set_rejects_bad_index():
     ws = qp_setup(hessian, A, b)
     with pytest.raises(DimensionMismatch):
         ws.set_working_set([99])
+
+
+def test_set_working_set_bad_index_leaves_workspace_unchanged():
+    # validation comes first: a bad index anywhere in the list leaves the
+    # working set, its factor and the change counter as they were
+    hessian, linear, A, b = _random_instance(2, n=4, m=12)
+    ws = qp_setup(hessian, A, b)
+    res = qp_solve(ws, 5.0 * linear)
+    assert res.active_set and res.active_set[:2] != (0, 1)
+    before = (ws.working_set, ws.total_inner_iterations, ws._L.copy())
+    with pytest.raises(DimensionMismatch):
+        ws.set_working_set([0, 1, 99])
+    assert ws.working_set == before[0]
+    assert ws.total_inner_iterations == before[1]
+    assert np.array_equal(ws._L, before[2])
 
 
 def test_set_working_set_skips_dependent_rows():
@@ -291,3 +309,15 @@ def test_dependent_row_on_full_working_set_is_infeasible():
         ws = qp_setup(g.T @ g + np.eye(n), A, b)
         with pytest.raises(Infeasible):
             qp_solve(ws, rng.standard_normal(n))
+
+
+def test_entering_row_is_violated_even_when_another_scales_higher():
+    # row 0 sits inside the primal tolerance but has the larger violation
+    # relative to its scale; the entering row must be the violated row 1
+    A = np.array([[1.0, 0.0], [100.0, 0.0]])
+    eps = 1e-8 * (1.0 + 100.0)
+    b = np.array([1.0 - 0.9 * eps, 100.0 - 1.5 * eps])
+    ws = qp_setup(np.eye(2), A, b)
+    res = qp_solve(ws, np.array([-1.0, 0.0]))
+    assert res.active_set == (1,)
+    assert res.inner_iterations == 1
