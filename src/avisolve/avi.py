@@ -373,9 +373,8 @@ def natural_residual(p: AviProblem, z: np.ndarray, Q: np.ndarray) -> np.ndarray:
     if z.shape != (p.n,):
         raise DimensionMismatch(f"z has shape {z.shape}, expected ({p.n},)")
     Q = np.asarray(Q, dtype=float)
-    q_factor = factor_spd(Q)
-    v = z - q_factor.solve(p.H @ z + p.f)
     ws = qp_setup(Q, p.A, p.b)
+    v = z - ws.hessian_factor.solve(p.H @ z + p.f)
     res = qp_solve(ws, -(Q @ v), warm_start=False)
     return z - res.y
 

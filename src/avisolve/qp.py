@@ -1,31 +1,30 @@
 """Warm-startable dual active-set method for strictly convex QPs.
 
-Solves
+Solves  minimize 0.5 y'Gy + g'y  subject to  A y <= b,  with G symmetric
+positive definite.  G is factored once in :func:`qp_setup` and reused by
+every :func:`qp_solve` call on the workspace; only ``g`` changes between
+calls, the access pattern of the outer splitting iteration.
 
-    minimize   0.5 * y' G y + g' y
-    subject to A y <= b
+With G = C C' (C lower triangular), v = C'y turns the QP into the
+least-distance problem  minimize 0.5 v'v + c'v  subject to  U v <= b,  with
+c = C^{-1} g and whitened rows U = A C^{-T} (Goldfarb & Idnani 1983; DAQP,
+Arnstroem, Bemporad & Axehill 2022).  :func:`qp_setup` whitens all rows with
+one triangular solve, a call whitens ``g`` with another, and y comes back
+from stationarity, y = -G^{-1} (g + A_S' lam).  In between the Hessian is
+the identity, so an entering row is its own direction and needs no solve.
 
-with G symmetric positive definite.  The Hessian is factored once in
-:func:`qp_setup` and reused across every subsequent :func:`qp_solve` call on
-the same workspace; only the linear term ``g`` changes between calls.  That
-is the access pattern of the outer splitting iteration, which solves a long
-sequence of QPs differing in ``g`` alone.
+The method works on the dual: from the unconstrained minimizer (or the
+working set left by the previous solve) it picks the most violated row and
+takes the largest step toward it that keeps the working-set multipliers
+nonnegative, dropping blocking rows on the way.  Iterates stay dual
+feasible, so a warm start from a nearly correct working set costs almost
+nothing.  The solvers pass unit-norm rows, so violations compare directly.
 
-The method works on the dual: it starts from the unconstrained minimizer (or
-from the working set left by the previous solve), and repeatedly picks a
-violated constraint, then takes the largest step toward satisfying it that
-keeps the working-set multipliers nonnegative, dropping blocking constraints
-along the way.  Iterates stay dual feasible throughout, so a warm start from
-a nearly correct working set costs almost nothing.
-
-State per working set: the indices themselves, the rows ``A_S``, the rows
-of ``W' = (G^{-1} A_S')'`` and the bounds ``b_S`` in contiguous row blocks,
-and a lower Cholesky factor L of ``M = A_S W``.  Adding a constraint extends
-L by one row.  Dropping one deletes a row and a column of M, which stays
-positive definite; with ``R = L'`` that is a column deletion from R, and
-Givens rotations (``scipy.linalg.qr_delete``) restore the triangle in O(q^2)
-without recomputing ``A_S W``.  Triangular solves against L call BLAS
-``dtrsv`` directly.
+State per working set: the indices, the rows ``U_S`` and bounds ``b_S`` in
+contiguous blocks, and a lower Cholesky factor L of ``U_S U_S'``.  An add
+extends L by one row.  A drop deletes a column of R = L', and Givens
+rotations (``scipy.linalg.qr_delete``) restore the triangle in O(q^2).
+Triangular solves call BLAS directly.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dtrsm, dtrsv
 
 from .errors import CycleLimit, DimensionMismatch, Infeasible
 from .linalg import SpdFactor, factor_spd
@@ -46,9 +45,9 @@ __all__ = ["QpWorkspace", "QpResult", "qp_setup", "qp_solve"]
 _EPS_DUAL = 1e-10
 # Relative scale for the primal feasibility tolerance (times 1 + max|b|).
 _EPS_PRIMAL_REL = 1e-8
-# A candidate row counts as dependent on the working set when the squared
-# norm of its reduced direction falls below this fraction of a' G^{-1} a, or
-# when the working set already holds min(m, n) rows.
+# A candidate row u counts as dependent on the working set when the squared
+# norm of its reduced direction falls below this fraction of u'u, or when
+# the working set already holds min(m, n) rows.
 _DEP_REL = 1e-14
 
 
@@ -106,7 +105,7 @@ def _blocking_row(S: list[int], lam: np.ndarray, r: np.ndarray, positive: np.nda
 
 
 class QpWorkspace:
-    """Factored Hessian plus constraint data plus persistent working set."""
+    """Factored Hessian plus whitened constraint rows plus persistent working set."""
 
     def __init__(self, factor: SpdFactor, A: np.ndarray, b: np.ndarray):
         self.hessian_factor = factor
@@ -116,14 +115,16 @@ class QpWorkspace:
         self.m = A.shape[0]
         self.eps_primal = _EPS_PRIMAL_REL * (1.0 + (np.max(np.abs(b)) if self.m else 0.0))
         self.eps_dual = _EPS_DUAL
-        # selection scale: 1 + Euclidean norm of each constraint row
-        self._row_scale = 1.0 + np.linalg.norm(A, axis=1) if self.m else np.zeros(0)
+        # G = C C' and the whitened rows U = A C^{-T}, solved in place: U' is
+        # the Fortran-ordered view of the C-ordered buffer
+        self._C = factor.lower * np.sqrt(factor.diag)
+        self._U = np.array(A, order="C")
+        dtrsm(1.0, self._C.T, self._U.T, lower=0, trans_a=1, overwrite_b=1)
         self._S: list[int] = []
-        # rows 0..q-1 hold A_S, W' (W = G^{-1} A_S') and b_S; independent
-        # rows number at most min(m, n), so the blocks never grow
+        # rows 0..q-1 hold U_S and b_S; independent rows number at most
+        # min(m, n), so the blocks never grow
         cap = min(self.m, self.n)
         self._AS = np.empty((cap, self.n))
-        self._WT = np.empty((cap, self.n))
         self._bS = np.empty(cap)
         self._L = np.zeros((0, 0))
         self.total_inner_iterations = 0
@@ -149,33 +150,31 @@ class QpWorkspace:
         self._S = []
         self._L = np.zeros((0, 0))
         for i in indices:
-            a = self.A[i]
-            w = self.hessian_factor.solve(a)
-            aw = float(a @ w)
-            if aw <= 0.0:
+            u = self._U[i]
+            uu = float(u @ u)
+            if uu <= 0.0:
                 continue  # zero row carries no geometry
-            l, d2 = self._reduce(w, aw)
-            if d2 <= _DEP_REL * aw:
+            l, d2 = self._reduce(u, uu)
+            if d2 <= _DEP_REL * uu:
                 continue
-            self._append(i, w, l, math.sqrt(d2))
+            self._append(i, l, math.sqrt(d2))
 
-    def _reduce(self, w: np.ndarray, aw: float) -> tuple[np.ndarray, float]:
-        """L^{-1} A_S w and the squared norm of the entering row's reduced
-        direction, a' G^{-1} a - |L^{-1} A_S w|^2, for w = G^{-1} a.
+    def _reduce(self, u: np.ndarray, uu: float) -> tuple[np.ndarray, float]:
+        """L^{-1} U_S u and the squared norm of the entering row's reduced
+        direction, u'u - |L^{-1} U_S u|^2, for a whitened row u.
 
         The norm reads 0 once the working set is full: a further row then
         depends on the working set whatever roundoff says.
         """
         q = len(self._S)
         if not q:
-            return np.zeros(0), aw
-        l = _lower_solve(self._L, self._AS[:q] @ w)
-        return l, (aw - float(l @ l) if q < len(self._AS) else 0.0)
+            return np.zeros(0), uu
+        l = _lower_solve(self._L, self._AS[:q] @ u)
+        return l, (uu - float(l @ l) if q < len(self._AS) else 0.0)
 
-    def _append(self, idx: int, w: np.ndarray, l: np.ndarray, d: float) -> None:
+    def _append(self, idx: int, l: np.ndarray, d: float) -> None:
         q = len(self._S)
-        self._AS[q] = self.A[idx]
-        self._WT[q] = w
+        self._AS[q] = self._U[idx]
         self._bS[q] = self.b[idx]
         grown = np.zeros((q + 1, q + 1))
         grown[:q, :q] = self._L
@@ -188,27 +187,25 @@ class QpWorkspace:
         q = len(self._S)
         self._S.pop(pos)
         self._AS[pos : q - 1] = self._AS[pos + 1 : q]
-        self._WT[pos : q - 1] = self._WT[pos + 1 : q]
         self._bS[pos : q - 1] = self._bS[pos + 1 : q]
         self._L = _delete_factor_row(self._L, pos)
 
     def _msolve(self, u: np.ndarray) -> np.ndarray:
-        """Solve M r = u against the Cholesky factor of A_S W."""
+        """Solve M r = u against the Cholesky factor of U_S U_S'."""
         return _upper_solve(self._L, _lower_solve(self._L, u))
 
-    def _eqp(self, g0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _eqp(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Equality-constrained solve on the current working set.
 
-        g0 is G^{-1} g.  Returns (y, lam_S) with A_S y = b_S and
-        G y + g + A_S' lam_S = 0.
+        c is C^{-1} g.  Returns (v, lam_S) with U_S v = b_S and
+        v + c + U_S' lam_S = 0.
         """
         q = len(self._S)
         if not q:
-            return -g0.copy(), np.zeros(0)
-        rhs = self._bS[:q] + self._AS[:q] @ g0
-        lam = -self._msolve(rhs)
-        y = -g0 - self._WT[:q].T @ lam
-        return y, lam
+            return -c, np.zeros(0)
+        US = self._AS[:q]
+        lam = -self._msolve(self._bS[:q] + US @ c)
+        return -c - US.T @ lam, lam
 
 
 def qp_setup(hessian: np.ndarray, A: np.ndarray, b: np.ndarray) -> QpWorkspace:
@@ -240,12 +237,12 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
 
     start_changes = ws.total_inner_iterations
     cap = 100 * (ws.m + ws.n)
-    A, b, eps_primal, S = ws.A, ws.b, ws.eps_primal, ws._S
-    g0 = ws.hessian_factor.solve(g)
+    U, b, eps_primal, S = ws._U, ws.b, ws.eps_primal, ws._S
+    c = _lower_solve(ws._C, g)
 
     # Phase 1: re-solve on the inherited working set, shedding constraints
     # whose multipliers come out negative under the new linear term.
-    y, lam = ws._eqp(g0)
+    v, lam = ws._eqp(c)
     while lam.size:
         k = int(lam.argmin())
         if not lam[k] < -ws.eps_dual:
@@ -254,13 +251,15 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
         ws.total_inner_iterations += 1
         if ws.total_inner_iterations - start_changes > cap:
             raise CycleLimit("working-set change budget exhausted in warm phase")
-        y, lam = ws._eqp(g0)
+        v, lam = ws._eqp(c)
     settled = ws.total_inner_iterations
 
-    # Phase 2: dual active-set main loop.
+    # Phase 2: dual active-set main loop.  Every pass changes the working
+    # set: the entering row's violation is taken from the scan itself, and
+    # recomputed only after a drop.
     zero_steps = 0
     while ws.m:
-        viol = A @ y
+        viol = U @ v
         viol -= b
         if viol.max() <= eps_primal:
             break
@@ -268,22 +267,19 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
             # anti-cycling: fall back to smallest violated index
             p = int((viol > eps_primal).argmax())
         else:
-            p = int(np.where(viol > eps_primal, viol / ws._row_scale, -np.inf).argmax())
-        a_p = A[p]
-        w = ws.hessian_factor.solve(a_p)
-        aw = float(a_p @ w)
+            p = int(viol.argmax())
+        u = U[p]
+        uu = float(u @ u)
+        vp = float(viol[p])
         acc = 0.0  # multiplier accumulated for the entering constraint
-        while True:
+        while vp > eps_primal:
             if ws.total_inner_iterations - start_changes > cap:
                 raise CycleLimit("working-set change budget exhausted")
-            vp = float(a_p @ y - b[p])
-            if vp <= eps_primal:
-                break  # resolved by drops taken along the way
             q = len(S)
-            l, d2 = ws._reduce(w, aw)
+            l, d2 = ws._reduce(u, uu)
             r = _upper_solve(ws._L, l) if q else l
             positive = (r > 0.0).nonzero()[0]
-            if d2 > _DEP_REL * aw and d2 > 0.0:
+            if d2 > _DEP_REL * uu and d2 > 0.0:
                 t_full = vp / d2
                 if positive.size:
                     t_drop, k = _blocking_row(S, lam, r, positive)
@@ -291,12 +287,12 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
                     t_drop, k = np.inf, -1
                 t = min(t_full, t_drop)
                 zero_steps = 0 if t > 0.0 else zero_steps + 1
-                y = y - t * (w - ws._WT[:q].T @ r if q else w)
+                v = v - t * (u - ws._AS[:q].T @ r if q else u)
                 if q:
                     lam = lam - t * r
                 acc += t
                 if t_full <= t_drop:
-                    ws._append(p, w, l, math.sqrt(d2))
+                    ws._append(p, l, math.sqrt(d2))
                     ws.total_inner_iterations += 1
                     lam = np.concatenate((lam, (acc,)))
                     break
@@ -312,19 +308,22 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
             ws._drop(k)
             ws.total_inner_iterations += 1
             lam = np.concatenate((lam[:k], lam[k + 1 :]))
+            vp = float(u @ v - b[p])
 
     # Final polish: re-solving on the settled working set removes the
     # roundoff drift of the incremental updates and makes repeat calls with
     # the same linear term exact no-ops.  Without a change since phase 1,
-    # (y, lam) already is that re-solve.
+    # lam already is that re-solve.
     if ws.total_inner_iterations != settled:
-        y, lam = ws._eqp(g0)
+        lam = ws._eqp(c)[1]
 
+    # back to y through stationarity, G y + g + A_S' lam_S = 0
     multipliers = np.zeros(ws.m)
     if S:
         multipliers[S] = lam
+        g = g + ws.A[S].T @ lam
     return QpResult(
-        y=y,
+        y=-ws.hessian_factor.solve(g),
         multipliers=multipliers,
         active_set=tuple(sorted(S)),
         inner_iterations=ws.total_inner_iterations - start_changes,

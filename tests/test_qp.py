@@ -5,6 +5,8 @@ symmetric positive definite Hessian G is the variational problem with H = G,
 so brute_force_solve provides ground truth for random cases.
 """
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from avisolve import (
     qp_setup,
     qp_solve,
 )
+from avisolve.avi import kkt_residual
 
 
 def _random_instance(seed, n=2, m=8):
@@ -215,21 +218,21 @@ def test_set_working_set_skips_dependent_rows():
 
 
 def _assert_factor_consistent(ws, hessian, A):
-    # L L' reproduces A_S G^{-1} A_S' and the row blocks hold A_S and W'
+    # L L' reproduces A_S G^{-1} A_S', the row block holds the whitened rows
+    # of S, and the whitened rows U satisfy U C' = A with C C' = G
+    assert np.max(np.abs(ws._U @ ws._C.T - A)) <= 1e-12 * np.max(np.abs(A))
     S = list(ws.working_set)
     q = len(S)
     assert ws._L.shape == (q, q)
     if not q:
         return
     A_S = A[S]
-    W = np.linalg.solve(hessian, A_S.T)
-    M = A_S @ W
+    M = A_S @ np.linalg.solve(hessian, A_S.T)
     L = ws._L
     assert np.max(np.abs(L @ L.T - M)) <= 1e-10 * np.max(np.abs(M))
     assert np.all(np.diag(L) > 0.0)
     assert np.allclose(np.triu(L, 1), 0.0)
-    assert np.array_equal(ws._AS[:q], A_S)
-    assert np.max(np.abs(ws._WT[:q] - W.T)) <= 1e-10 * np.max(np.abs(W))
+    assert np.array_equal(ws._AS[:q], ws._U[S])
 
 
 def test_factor_tracks_random_adds_and_drops():
@@ -321,3 +324,50 @@ def test_entering_row_is_violated_even_when_another_scales_higher():
     res = qp_solve(ws, np.array([-1.0, 0.0]))
     assert res.active_set == (1,)
     assert res.inner_iterations == 1
+
+
+def test_entering_row_rounding_cannot_loop_forever():
+    # row 7 sits exactly at the primal tolerance, so the scan over all rows
+    # and a dot product with row 7 alone may round its violation to opposite
+    # sides of it; the step must take the scan's value, or the row is picked
+    # again and again without a working-set change.  The alarm turns a hang
+    # into a failure.
+    def timeout(signum, frame):
+        raise TimeoutError("qp_solve did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        for seed in (1, 5, 6):
+            rng = np.random.default_rng(seed)
+            n, m = 40, 60
+            g = rng.standard_normal(n)
+            A = rng.standard_normal((m, n))
+            b = A @ (-g) + rng.uniform(1.0, 2.0, m)
+            b[7] = A[7] @ (-g) - 0.5
+            ws = qp_setup(np.eye(n), A, b)
+            ws.eps_primal = float(A[7] @ (-g) - b[7])
+            signal.setitimer(signal.ITIMER_REAL, 5.0)
+            res = qp_solve(ws, g, warm_start=False)
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            assert res.inner_iterations <= 1
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_ill_conditioned_hessian_meets_kkt_tolerance():
+    # the whitened rows A C^{-T} grow like 1/sqrt(smallest eigenvalue of G);
+    # with cond(G) = 1e8 the solve must still satisfy the scaled KKT test
+    n, m = 8, 30
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        hessian = (Q * np.logspace(0, -8, n)) @ Q.T
+        hessian = 0.5 * (hessian + hessian.T)
+        A = rng.standard_normal((m, n))
+        A /= np.linalg.norm(A, axis=1)[:, None]
+        b = A @ rng.standard_normal(n) + rng.uniform(0.1, 1.1, m)
+        linear = hessian @ rng.standard_normal(n)
+        res = qp_solve(qp_setup(hessian, A, b), linear)
+        prob = AviProblem(H=hessian, f=linear, A=A, b=b)
+        assert kkt_residual(prob, res.y, res.multipliers) <= 1e-8
