@@ -15,6 +15,7 @@ from .avi import (
     STATUS_TOLERANCE,
     AviProblem,
     DrWorkspace,
+    ReducedKkt,
     IterationTrace,
     Solution,
     SolverSettings,
@@ -64,6 +65,7 @@ __all__ = [
     "AviProblem",
     "SolverSettings",
     "DrWorkspace",
+    "ReducedKkt",
     "Solution",
     "TraceRecord",
     "IterationTrace",

@@ -50,6 +50,7 @@ __all__ = [
     "AviProblem",
     "SolverSettings",
     "DrWorkspace",
+    "ReducedKkt",
     "Solution",
     "TraceRecord",
     "IterationTrace",
@@ -287,11 +288,33 @@ def dr_update(ws: DrWorkspace, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return ws.update_factor.solve(rhs)
 
 
-def kkt_active_solve(p: AviProblem, act) -> tuple[np.ndarray, np.ndarray]:
+class ReducedKkt:
+    """What :func:`kkt_active_solve` keeps between calls on one problem.
+
+    The LU factor of H, h = H^{-1}(-f) and the column H^{-1} a_i of every
+    row solved for so far; a later call solves only for the rows new to
+    its active set.  The factor is computed on first use.  The solver
+    driver makes one per solve.
+    """
+
+    def __init__(self, p: AviProblem):
+        self.problem = p
+        self.factor: GeneralFactor | None = None
+        self.h: np.ndarray | None = None
+        self.cols: dict[int, np.ndarray] = {}
+
+
+def kkt_active_solve(
+    p: AviProblem, act, reduced: ReducedKkt | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve the reduced KKT system for a candidate active set.
 
-    Assembles [[H, A_act'], [A_act, 0]] [x; lam] = [-f; b_act] and solves it
-    with an LU factorization.  Raises Singular when the active rows are
+    Solves [[H, A_S'], [A_S, 0]] [x; lam] = [-f; b_S] through one LU
+    factor of H and the q x q Schur complement (the range-space method):
+    with X = H^{-1} A_S' and h = H^{-1}(-f), lam solves
+    (A_S X) lam = A_S h - b_S and x = h - X lam.  ``reduced`` carries the
+    factor and the columns of X between calls on the same problem; without
+    it a throwaway one is used.  Raises Singular when the active rows are
     dependent (the caller treats that as "no correction available").
     Multipliers are returned for the active rows only, in sorted index
     order; callers scatter them into a full vector.
@@ -301,15 +324,30 @@ def kkt_active_solve(p: AviProblem, act) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch("active set contains repeated indices")
     if indices and (indices[0] < 0 or indices[-1] >= p.m):
         raise DimensionMismatch("active set index out of range")
-    n, q = p.n, len(indices)
-    K = np.zeros((n + q, n + q))
-    K[:n, :n] = p.H
-    if q:
-        K[:n, n:] = p.A[indices].T
-        K[n:, :n] = p.A[indices]
-    rhs = np.concatenate([-p.f, p.b[indices]])
-    sol = factor_general(K).solve(rhs)
-    return sol[:n], sol[n:]
+    if reduced is None:
+        reduced = ReducedKkt(p)
+    elif reduced.problem is not p:
+        raise ValueError("reduced was built for another problem")
+    if reduced.factor is None:
+        reduced.factor = factor_general(p.H)
+        reduced.h = reduced.factor.solve(-p.f)
+    h, cols = reduced.h, reduced.cols
+    if not indices:
+        return h.copy(), np.zeros(0)
+    new = [i for i in indices if i not in cols]
+    if new:
+        rhs = p.A[new].T
+        if len(new) == 1:
+            # LAPACK solves a single column by another kernel, whose bits
+            # differ; a column must not depend on the batch it came in
+            rhs = np.repeat(rhs, 2, axis=1)
+        solved = reduced.factor.solve(rhs)
+        for j, i in enumerate(new):
+            cols[i] = solved[:, j]
+    X = np.column_stack([cols[i] for i in indices])
+    A_S = p.A[indices]
+    lam = factor_general(A_S @ X).solve(A_S @ h - p.b[indices])
+    return h - X @ lam, lam
 
 
 def check_solution(
@@ -410,7 +448,7 @@ def _equilibrate(p: AviProblem) -> tuple[AviProblem, np.ndarray]:
     return AviProblem(H=p.H, f=p.f, A=p.A / norms[:, None], b=p.b / norms), norms
 
 
-def _newton_candidate(p: AviProblem, act: tuple[int, ...]):
+def _newton_candidate(p: AviProblem, act: tuple[int, ...], reduced: ReducedKkt):
     """Reduced KKT solve for act, or None when the system is unavailable.
 
     Returns (x, full multipliers) on success.  Oversized or rank-deficient
@@ -419,7 +457,7 @@ def _newton_candidate(p: AviProblem, act: tuple[int, ...]):
     if len(act) > p.n:
         return None
     try:
-        x, lam_act = kkt_active_solve(p, act)
+        x, lam_act = kkt_active_solve(p, act, reduced)
     except Singular:
         return None
     lam = np.zeros(p.m)
@@ -476,6 +514,7 @@ def _iterate(
     s = s if s is not None else SolverSettings()
     p, row_norms = _equilibrate(user)
     qp, linear_term, update = setup(p, s)
+    reduced = ReducedKkt(p)  # corrections share one factor of H per solve
     z = _initial_iterate(p, z0)
     trace = IterationTrace()
     delta = np.inf  # best merit at an accepted correction, nonincreasing
@@ -490,7 +529,7 @@ def _iterate(
             streak = streak + 1 if act == last_act else 0
             if streak >= s.stab_count:
                 attempted = True
-                candidate = _newton_candidate(p, act)
+                candidate = _newton_candidate(p, act, reduced)
                 if candidate is None:
                     streak = 0
                 elif check_solution(p, *candidate, s.eps_primal, s.eps_dual):
@@ -517,7 +556,7 @@ def _iterate(
         # falling back to an inexact exit
         if corrections and exact is None and merit <= s.eta and (accepted or not attempted):
             attempted = True
-            candidate = _newton_candidate(p, act)
+            candidate = _newton_candidate(p, act, reduced)
             if candidate is not None and check_solution(
                 p, *candidate, s.eps_primal, s.eps_dual
             ):

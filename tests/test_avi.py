@@ -8,15 +8,22 @@ splitting run is z+ = (3 + 5 z) / 8, and starting from 0 the first iterates
 are 0.375 and 0.609375.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import avisolve
 from avisolve import (
     AviProblem,
     DimensionMismatch,
     GenSpec,
     Infeasible,
     NotPositiveDefinite,
+    ReducedKkt,
     Singular,
     SolverSettings,
     brute_force_solve,
@@ -193,6 +200,63 @@ def test_kkt_active_solve_index_checks():
         kkt_active_solve(_scalar_problem(), (0, 0))
     with pytest.raises(DimensionMismatch):
         kkt_active_solve(_scalar_problem(), (5,))
+
+
+def _saddle_reference(p, act):
+    """x and lam_S from the assembled saddle system [[H, A_S'], [A_S, 0]]."""
+    idx = sorted(act)
+    n, q = p.n, len(idx)
+    K = np.zeros((n + q, n + q))
+    K[:n, :n] = p.H
+    K[:n, n:] = p.A[idx].T
+    K[n:, :n] = p.A[idx]
+    sol = np.linalg.solve(K, np.concatenate([-p.f, p.b[idx]]))
+    return sol[:n], sol[n:]
+
+
+def test_kkt_active_solve_matches_assembled_saddle_system():
+    rng = np.random.default_rng(0)
+    n = 8
+    for seed in range(10):
+        prob = random_avi(GenSpec(n=n, m=20, gamma_asym=0.5, seed=seed))
+        for q in (0, 1, 4, n):
+            act = tuple(int(i) for i in rng.choice(prob.m, size=q, replace=False))
+            x, lam = kkt_active_solve(prob, act)
+            x_ref, lam_ref = _saddle_reference(prob, act)
+            assert np.max(np.abs(x - x_ref)) <= 1e-12 * max(1.0, np.max(np.abs(x_ref)))
+            if q:
+                assert np.max(np.abs(lam - lam_ref)) <= 1e-12 * max(1.0, np.max(np.abs(lam_ref)))
+            else:
+                assert lam.shape == (0,)
+
+
+def test_kkt_active_solve_reused_cache_matches_fresh_bytes():
+    # a cache that already holds some columns must give the bytes of a
+    # fresh solve; the sets overlap, and some bring a single new row
+    prob = random_avi(GenSpec(n=10, m=40, gamma_asym=0.5, seed=3))
+    reduced = ReducedKkt(prob)
+    for act in [(4, 1, 7), (1, 7, 9), (9,), (0, 1, 4, 7, 9), (12, 0), (), (30, 31, 32, 1)]:
+        x, lam = kkt_active_solve(prob, act, reduced)
+        x_fresh, lam_fresh = kkt_active_solve(prob, act)
+        assert x.tobytes() == x_fresh.tobytes()
+        assert lam.tobytes() == lam_fresh.tobytes()
+    assert sorted(reduced.cols) == [0, 1, 4, 7, 9, 12, 30, 31, 32]
+
+
+def test_kkt_active_solve_duplicate_rows_singular_with_cache():
+    p = AviProblem(
+        H=np.array([[2.0, 1.0], [-1.0, 3.0]]),
+        f=np.array([1.0, -1.0]),
+        A=np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 1.0]]),
+        b=np.array([1.0, 1.0, 2.0]),
+    )
+    reduced = ReducedKkt(p)
+    kkt_active_solve(p, (0, 2), reduced)  # row 0's column is cached
+    for cache in (None, reduced):
+        with pytest.raises(Singular):
+            kkt_active_solve(p, (0, 1), cache)
+    with pytest.raises(ValueError):
+        kkt_active_solve(_scalar_problem(), (0,), reduced)
 
 
 def test_check_solution_scalar_cases():
@@ -433,6 +497,47 @@ def test_solve_dr_daqp_maxiter():
 def test_solve_dr_daqp_z0_shape_check():
     with pytest.raises(DimensionMismatch):
         solve_dr_daqp(_scalar_problem(), z0=np.zeros(2))
+
+
+_SOLVE_SEEDS = """
+import sys
+from avisolve import GenSpec, random_avi, solve_dr_daqp
+for seed in map(int, sys.argv[1:]):
+    sol, trace = solve_dr_daqp(random_avi(GenSpec(n=30, m=300, gamma_asym=0.5, seed=seed)))
+    attempts = sum(r.newton_attempted for r in trace)
+    print(attempts, seed, sol.status, sol.iterations, sol.active_set,
+          sol.x.tobytes().hex(), sol.multipliers.tobytes().hex())
+"""
+
+
+def _solve_in_fresh_process(*seeds):
+    src = str(Path(avisolve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SOLVE_SEEDS, *map(str, seeds)],
+        capture_output=True, text=True, env=env, check=True,
+    )  # fmt: skip
+    return proc.stdout.splitlines()
+
+
+def test_solve_dr_daqp_keeps_no_state_between_solves():
+    # A, then B (same shape, so a leftover factor or column would fit),
+    # then A again: each must match a solve in a fresh process byte for byte
+    a, b, a_again = _solve_in_fresh_process(1, 2, 1)
+    (a_fresh,), (b_fresh,) = _solve_in_fresh_process(1), _solve_in_fresh_process(2)
+    assert (a, b, a_again) == (a_fresh, b_fresh, a_fresh)
+    assert int(a.split()[0]) > 0 and int(b.split()[0]) > 0  # corrections ran
+
+
+def test_solve_dr_daqp_exact_with_nearly_singular_sym_h():
+    # lambda_min(sym H) is 5.6e-8 to 5.2e-5 on these seeds (cond(H) <= 21):
+    # the family the benchmark's random workloads draw from
+    for seed in range(1, 11):
+        prob = random_avi(GenSpec(n=50, m=500, gamma_asym=0.5, seed=seed))
+        sol, _ = solve_dr_daqp(prob)
+        assert sol.status == "Exact"
+        assert sol.kkt_residual <= 1e-8
 
 
 # ---------------------------------------------------------------------------
