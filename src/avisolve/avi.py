@@ -127,7 +127,7 @@ class SolverSettings:
     rho: float | None = None
     eta: float = 1e-6
     max_iter: int = 10000
-    stab_count: int = 5
+    stab_count: int = 2
     eps_primal: float = 1e-8
     eps_dual: float = 1e-8
     pg_step: float | None = None

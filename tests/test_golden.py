@@ -45,8 +45,8 @@ QP_CHANGES = {
 } | {
     (30, seed): total
     for seed, total in enumerate(
-        [130, 116, 96, 96, 120, 136, 120, 122, 130, 133,
-         129, 134, 120, 154, 146, 136, 128, 130, 112, 108]
+        [130, 116, 96, 96, 116, 136, 120, 128, 130, 133,
+         129, 134, 126, 154, 146, 136, 128, 130, 112, 108]
     )
 }
 
