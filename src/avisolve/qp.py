@@ -87,8 +87,9 @@ def _delete_factor_row(L: np.ndarray, k: int) -> np.ndarray:
     q = L.shape[0]
     if k == q - 1:
         return L[:k, :k].copy()
+    # a column-ordered Q is rotated in place; a row-ordered one is copied
     _, R = scipy.linalg.qr_delete(
-        np.eye(q), L.T, k, which="col", overwrite_qr=True, check_finite=False
+        np.eye(q, order="F"), L.T, k, which="col", overwrite_qr=True, check_finite=False
     )
     R = R[: q - 1]
     R[R.diagonal() < 0.0] *= -1.0
