@@ -15,8 +15,8 @@ from .avi import (
     STATUS_TOLERANCE,
     AviProblem,
     DrWorkspace,
-    ReducedKkt,
     IterationTrace,
+    ReducedKkt,
     Solution,
     SolverSettings,
     TraceRecord,

@@ -20,10 +20,11 @@ Three solvers are provided:
 * :func:`solve_dr_daqp` augments the splitting with an active-set
   stabilization heuristic: once the inner QP reports the same active set for
   ``stab_count`` consecutive iterations, the reduced KKT system for that set
-  is solved directly.  If the candidate passes the exactness check, the
-  solver stops with the exact solution (status Exact); otherwise the
-  candidate is accepted as the new iterate only when it strictly improves
-  the best merit seen at an acceptance so far.
+  is solved directly, through one LU factor of H per solve and a q x q Schur
+  complement (:func:`kkt_active_solve`).  If the candidate passes the
+  exactness check, the solver stops with the exact solution (status Exact);
+  otherwise the candidate is accepted as the new iterate only when it
+  strictly improves the best merit seen at an acceptance so far.
 * :func:`solve_projected_gradient` is a deliberately simple baseline:
   Euclidean projections of explicit gradient steps.  Never exact.
 

@@ -368,7 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--eta", type=float, default=None, help="stopping tolerance")
     p_solve.add_argument("--max-iter", type=int, default=None, help="iteration cap")
     p_solve.add_argument(
-        "--stab-count", type=int, default=None, help="streak length before a KKT attempt"
+        "--stab-count",
+        type=int,
+        default=None,
+        help=f"streak length before a KKT attempt (default {SolverSettings.stab_count})",
     )
     p_solve.add_argument("--trace", default=None, help="write per-iteration CSV here")
     p_solve.add_argument(

@@ -9,9 +9,9 @@ Two factorization routes are provided and kept deliberately separate:
   quadratic programs, which are symmetric positive definite by
   construction.
 * :func:`factor_general` is LAPACK's LU factorization with partial pivoting for
-  square systems with no useful structure, such as saddle-point systems
-  assembled from an active set.  Singularity is reported as an error rather
-  than silently returning garbage.
+  square systems with no useful structure, such as the nonsymmetric H and
+  the Schur complement of an active set.  Singularity is reported as an
+  error rather than silently returning garbage.
 
 Both factor objects expose ``solve``.
 """
