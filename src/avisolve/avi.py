@@ -313,7 +313,8 @@ def kkt_active_solve(
     Solves [[H, A_S'], [A_S, 0]] [x; lam] = [-f; b_S] through one LU
     factor of H and the q x q Schur complement (the range-space method):
     with X = H^{-1} A_S' and h = H^{-1}(-f), lam solves
-    (A_S X) lam = A_S h - b_S and x = h - X lam.  ``reduced`` carries the
+    (A_S X) lam = A_S h - b_S and x = h - X lam, and one step of iterative
+    refinement with the same factors follows.  ``reduced`` carries the
     factor and the columns of X between calls on the same problem; without
     it a throwaway one is used.  Raises Singular when the active rows are
     dependent (the caller treats that as "no correction available").
@@ -346,9 +347,15 @@ def kkt_active_solve(
         for j, i in enumerate(new):
             cols[i] = solved[:, j]
     X = np.column_stack([cols[i] for i in indices])
-    A_S = p.A[indices]
-    lam = factor_general(A_S @ X).solve(A_S @ h - p.b[indices])
-    return h - X @ lam, lam
+    A_S, b_S = p.A[indices], p.b[indices]
+    schur = factor_general(A_S @ X)
+    lam = schur.solve(A_S @ h - b_S)
+    x = h - X @ lam
+    # h - X lam cancels when cond(H) is large; one refinement step on the
+    # saddle system's residual brings x back to the accuracy of an LU of it
+    r = reduced.factor.solve(-p.f - p.H @ x - A_S.T @ lam)
+    d_lam = schur.solve(A_S @ r - (b_S - A_S @ x))
+    return x + r - X @ d_lam, lam + d_lam
 
 
 def check_solution(

@@ -499,6 +499,23 @@ def test_solve_dr_daqp_z0_shape_check():
         solve_dr_daqp(_scalar_problem(), z0=np.zeros(2))
 
 
+def test_solve_dr_daqp_exact_with_ill_conditioned_h():
+    # sym(H) = Q diag(logspace(0, -12)) Q' plus a small skew part: the
+    # correction's x = h - X lam cancels there, and must still be exact
+    n, m = 20, 200
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        skew = rng.standard_normal((n, n))
+        H = Q @ np.diag(np.logspace(0, -12, n)) @ Q.T + 1e-7 * (skew - skew.T)
+        A = rng.standard_normal((m, n))
+        A /= np.linalg.norm(A, axis=1)[:, None]
+        b = A @ rng.standard_normal(n) + rng.uniform(0.1, 1.0, m)
+        sol, _ = solve_dr_daqp(AviProblem(H=H, f=rng.standard_normal(n), A=A, b=b))
+        assert sol.status == "Exact"
+        assert sol.kkt_residual <= 1e-12
+
+
 _SOLVE_SEEDS = """
 import sys
 from avisolve import GenSpec, random_avi, solve_dr_daqp
