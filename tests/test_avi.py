@@ -255,7 +255,7 @@ def test_kkt_active_solve_duplicate_rows_singular_with_cache():
     for cache in (None, reduced):
         with pytest.raises(Singular):
             kkt_active_solve(p, (0, 1), cache)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # a cache belongs to one problem
         kkt_active_solve(_scalar_problem(), (0,), reduced)
 
 
