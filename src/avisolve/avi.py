@@ -358,6 +358,27 @@ def kkt_active_solve(
     return x + r - X @ d_lam, lam + d_lam
 
 
+def _kkt_parts(p: AviProblem, x, multipliers) -> tuple[float, ...]:
+    """The four KKT violations of a primal-dual pair, unscaled, with their scales.
+
+    Returns (stationarity, 1 + max|f|, primal infeasibility, negative
+    multiplier, complementarity, 1 + max|b|).  The last three violations are
+    zero when m = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    lam = np.asarray(multipliers, dtype=float)
+    if x.shape != (p.n,) or lam.shape != (p.m,):
+        raise DimensionMismatch("solution candidate has wrong dimensions")
+    stat = float(abs(p.H @ x + p.f + p.A.T @ lam).max())
+    f_scale = 1.0 + float(abs(p.f).max())
+    if not p.m:
+        return stat, f_scale, 0.0, 0.0, 0.0, 1.0
+    slack = p.b - p.A @ x
+    infeas, neg = max(0.0, float(-slack.min())), max(0.0, float(-lam.min()))
+    comp = float(abs(lam * slack).max())
+    return stat, f_scale, infeas, neg, comp, 1.0 + float(abs(p.b).max())
+
+
 def check_solution(
     p: AviProblem,
     x: np.ndarray,
@@ -371,40 +392,20 @@ def check_solution(
     feasibility and complementarity within eps_primal * (1 + max|b|), and
     multipliers are above -eps_dual.
     """
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(multipliers, dtype=float)
-    if x.shape != (p.n,) or lam.shape != (p.m,):
-        raise DimensionMismatch("solution candidate has wrong dimensions")
-    f_scale = 1.0 + (abs(p.f).max() if p.n else 0.0)
-    stat = p.H @ x + p.f + (p.A.T @ lam if p.m else 0.0)
-    if abs(stat).max() > eps_dual * f_scale:
-        return False
-    if p.m == 0:
-        return True
-    b_scale = 1.0 + abs(p.b).max()
-    slack = p.b - p.A @ x
-    if slack.min() < -eps_primal * b_scale:
-        return False
-    if lam.min() < -eps_dual:
-        return False
-    return bool(abs(lam * slack).max() <= eps_primal * b_scale)
+    stat, f_scale, infeas, neg, comp, b_scale = _kkt_parts(p, x, multipliers)
+    return (
+        stat <= eps_dual * f_scale
+        and infeas <= eps_primal * b_scale
+        and neg <= eps_dual
+        and comp <= eps_primal * b_scale
+    )
 
 
 def kkt_residual(p: AviProblem, x: np.ndarray, multipliers: np.ndarray) -> float:
     """Scaled KKT residual; the largest scaled violation over the four
     conditions tested by check_solution (zero at an exact solution)."""
-    x = np.asarray(x, dtype=float)
-    lam = np.asarray(multipliers, dtype=float)
-    f_scale = 1.0 + abs(p.f).max()
-    stat = p.H @ x + p.f + (p.A.T @ lam if p.m else 0.0)
-    parts = [float(abs(stat).max()) / f_scale]
-    if p.m:
-        b_scale = 1.0 + abs(p.b).max()
-        slack = p.b - p.A @ x
-        parts.append(max(0.0, float(-slack.min())) / b_scale)
-        parts.append(max(0.0, float(-lam.min())))
-        parts.append(float(abs(lam * slack).max()) / b_scale)
-    return max(parts)
+    stat, f_scale, infeas, neg, comp, b_scale = _kkt_parts(p, x, multipliers)
+    return max(stat / f_scale, infeas / b_scale, neg, comp / b_scale)
 
 
 def natural_residual(p: AviProblem, z: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -429,13 +430,12 @@ def natural_residual(p: AviProblem, z: np.ndarray, Q: np.ndarray) -> np.ndarray:
 # solvers
 
 
-def _initial_iterate(p: AviProblem, z0) -> np.ndarray:
-    if z0 is None:
-        return np.zeros(p.n)
-    z = np.asarray(z0, dtype=float)
-    if z.shape != (p.n,):
-        raise DimensionMismatch(f"z0 has shape {z.shape}, expected ({p.n},)")
-    return z.copy()
+def _point(p: AviProblem, v, name: str) -> np.ndarray:
+    """v as a float vector of length n, or DimensionMismatch naming it."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (p.n,):
+        raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({p.n},)")
+    return v
 
 
 def _distance(x: np.ndarray, reference) -> float | None:
@@ -520,10 +520,12 @@ def _iterate(
     multipliers and KKT residual belong to ``user``.
     """
     s = s if s is not None else SolverSettings()
+    z = np.zeros(user.n) if z0 is None else _point(user, z0, "z0").copy()
+    if reference is not None:
+        reference = _point(user, reference, "reference")
     p, row_norms = _equilibrate(user)
     qp, linear_term, update = setup(p, s)
     reduced = ReducedKkt(p)  # corrections share one factor of H per solve
-    z = _initial_iterate(p, z0)
     trace = IterationTrace()
     delta = np.inf  # best merit at an accepted correction, nonincreasing
     streak = 0

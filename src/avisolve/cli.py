@@ -129,9 +129,8 @@ def read_problem(path) -> tuple[AviProblem, dict]:
         b = np.asarray(doc["b"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"problem file {path} has malformed arrays: {exc}") from exc
-    if m == 0:
-        A = A.reshape(0, n)
-        b = b.reshape(0)
+    if m == 0 and not A.size and not b.size:  # an empty A may be written [] whatever n is
+        A, b = np.zeros((0, max(n, 0))), np.zeros(0)
     if H.shape != (n, n) or f.shape != (n,) or A.shape != (m, n) or b.shape != (m,):
         raise ParseError(
             f"problem file {path} has inconsistent dimensions for n={n}, m={m}"
@@ -218,6 +217,8 @@ def _settings_from_args(args) -> SolverSettings:
 def cmd_solve(args) -> int:
     problem, _ = read_problem(args.problem)
     reference = read_reference(args.reference) if args.reference else None
+    if reference is not None and reference.shape != (problem.n,):
+        raise ParseError(f"reference 'x' has shape {reference.shape}, expected ({problem.n},)")
     settings = _settings_from_args(args)
     solver = _SOLVERS[args.solver]
     solution, trace = solver(problem, settings, reference=reference)

@@ -2,18 +2,20 @@
 
 Two factorization routes are provided and kept deliberately separate:
 
-* :func:`factor_spd` computes an LDL^T factorization (unit lower
-  triangular L, positive diagonal d, no pivoting) from LAPACK's Cholesky
-  factor and refuses input whose pivots are not safely positive.  This is
-  the workhorse for the regularized Hessians appearing in the inner
-  quadratic programs, which are symmetric positive definite by
-  construction.
+* :func:`factor_spd` is LAPACK's Cholesky factorization M = C C^T (C lower
+  triangular with a positive diagonal, no pivoting); it refuses input whose
+  pivots C_jj^2 are not safely positive.  This is the workhorse for the
+  regularized Hessians appearing in the inner quadratic programs, which are
+  symmetric positive definite by construction; the inner QP whitens its
+  constraint rows with the same C.
 * :func:`factor_general` is LAPACK's LU factorization with partial pivoting for
   square systems with no useful structure, such as the nonsymmetric H and
   the Schur complement of an active set.  Singularity is reported as an
   error rather than silently returning garbage.
 
-Both factor objects expose ``solve``.
+Both factor objects expose ``solve``.  :func:`lower_solve` and
+:func:`upper_solve` are the single-vector triangular solves behind
+:meth:`SpdFactor.solve`, shared with the inner QP's working-set factor.
 """
 
 from __future__ import annotations
@@ -30,9 +32,12 @@ __all__ = [
     "GeneralFactor",
     "factor_spd",
     "factor_general",
+    "lower_solve",
+    "upper_solve",
+    "cholesky_solve",
 ]
 
-# Relative pivot floor for the LDL^T route, scaled by the mean diagonal.
+# Relative floor on the pivots C_jj^2, scaled by the mean diagonal.
 _PIVOT_REL = 1e-12
 # Relative symmetry slack accepted by factor_spd.
 _SYM_REL = 1e-12
@@ -49,21 +54,33 @@ def _require_square(matrix: np.ndarray, op: str) -> np.ndarray:
     return mat
 
 
+def lower_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """C^{-1} rhs for lower triangular C; a C-contiguous C is passed uncopied."""
+    return dtrsv(C.T, rhs, trans=1)
+
+
+def upper_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """C'^{-1} rhs for lower triangular C."""
+    return dtrsv(C.T, rhs)
+
+
+def cholesky_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(C C')^{-1} rhs for a vector rhs and lower triangular C."""
+    return upper_solve(C, lower_solve(C, rhs))
+
+
 class SpdFactor:
-    """LDL^T factorization of a symmetric positive definite matrix.
+    """Cholesky factorization M = C C^T of a symmetric positive definite matrix.
 
     Attributes
     ----------
-    lower : (n, n) ndarray
-        Unit lower triangular factor L.
-    diag : (n,) ndarray
-        Positive pivots d with ``M = L @ diag(d) @ L.T``.
+    chol : (n, n) ndarray
+        C-contiguous lower triangular factor C with a positive diagonal.
     """
 
-    def __init__(self, lower: np.ndarray, diag: np.ndarray):
-        self.lower = lower
-        self.diag = diag
-        self.n = lower.shape[0]
+    def __init__(self, chol: np.ndarray):
+        self.chol = chol
+        self.n = chol.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs; rhs may be a vector or a matrix of columns."""
@@ -73,21 +90,13 @@ class SpdFactor:
                 f"rhs has leading dimension {b.shape[0]}, factor is {self.n}x{self.n}"
             )
         if b.ndim == 1:
-            # BLAS on the transpose: a C-contiguous L is passed uncopied
-            lt = self.lower.T
-            y = dtrsv(lt, b, trans=1, diag=1) / self.diag
-            return dtrsv(lt, y, diag=1)
-        y = scipy.linalg.solve_triangular(
-            self.lower, b, lower=True, unit_diagonal=True, check_finite=False
-        )
-        y = (y.T / self.diag).T
-        return scipy.linalg.solve_triangular(
-            self.lower.T, y, lower=False, unit_diagonal=True, check_finite=False
-        )
+            return cholesky_solve(self.chol, b)
+        y = scipy.linalg.solve_triangular(self.chol, b, lower=True, check_finite=False)
+        return scipy.linalg.solve_triangular(self.chol.T, y, lower=False, check_finite=False)
 
     def reconstruct(self) -> np.ndarray:
-        """Return L @ diag(d) @ L.T, for testing the factorization."""
-        return (self.lower * self.diag) @ self.lower.T
+        """Return C @ C.T, for testing the factorization."""
+        return self.chol @ self.chol.T
 
 
 class GeneralFactor:
@@ -108,10 +117,10 @@ class GeneralFactor:
 
 
 def factor_spd(matrix: np.ndarray) -> SpdFactor:
-    """Factor a symmetric positive definite matrix as L diag(d) L^T.
+    """Factor a symmetric positive definite matrix as C C^T.
 
-    The input must be symmetric to within ``1e-12 * max|M|``; every pivot must
-    exceed ``1e-12 * trace(M) / n``.  Violations raise
+    The input must be symmetric to within ``1e-12 * max|M|``; every pivot
+    C_jj^2 must exceed ``1e-12 * trace(M) / n``.  Violations raise
     :class:`~avisolve.errors.NotPositiveDefinite`, which doubles as the
     positive-definiteness test used elsewhere in the package.
     """
@@ -121,20 +130,18 @@ def factor_spd(matrix: np.ndarray) -> SpdFactor:
     if abs(mat - mat.T).max() > _SYM_REL * scale:
         raise NotPositiveDefinite("matrix is not symmetric to working precision")
 
-    # M = C C' with C lower triangular, so L = C / diag(C), d = diag(C)^2
     chol, info = dpotrf(mat, lower=1, clean=1)
     if info > 0:
         raise NotPositiveDefinite(f"leading minor of order {info} is not positive definite")
-    root = np.diag(chol)
-    diag = root**2
+    diag = np.diag(chol) ** 2
     low = (diag <= _PIVOT_REL * mat.trace() / n).nonzero()[0]
     if low.size:
         j = int(low[0])
         raise NotPositiveDefinite(
             f"pivot {diag[j]:.3e} at position {j} is below the positive floor"
         )
-    lower = np.ascontiguousarray(chol / root)
-    return SpdFactor(lower, diag)
+    # dpotrf returns C in Fortran order; BLAS reads a C-ordered C uncopied
+    return SpdFactor(np.ascontiguousarray(chol))
 
 
 def factor_general(matrix: np.ndarray) -> GeneralFactor:

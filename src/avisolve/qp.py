@@ -5,13 +5,14 @@ positive definite.  G is factored once in :func:`qp_setup` and reused by
 every :func:`qp_solve` call on the workspace; only ``g`` changes between
 calls, the access pattern of the outer splitting iteration.
 
-With G = C C' (C lower triangular), v = C'y turns the QP into the
-least-distance problem  minimize 0.5 v'v + c'v  subject to  U v <= b,  with
-c = C^{-1} g and whitened rows U = A C^{-T} (Goldfarb & Idnani 1983; DAQP,
-Arnstroem, Bemporad & Axehill 2022).  :func:`qp_setup` whitens all rows with
-one triangular solve, a call whitens ``g`` with another, and y comes back
-from stationarity, y = -G^{-1} (g + A_S' lam).  In between the Hessian is
-the identity, so an entering row is its own direction and needs no solve.
+With G = C C' (C the lower Cholesky factor kept by :func:`factor_spd`),
+v = C'y turns the QP into the least-distance problem  minimize 0.5 v'v + c'v
+subject to  U v <= b,  with c = C^{-1} g and whitened rows U = A C^{-T}
+(Goldfarb & Idnani 1983; DAQP, Arnstroem, Bemporad & Axehill 2022).
+:func:`qp_setup` whitens all rows with one triangular solve, a call whitens
+``g`` with another, and y comes back from stationarity,
+y = -G^{-1} (g + A_S' lam).  In between the Hessian is the identity, so an
+entering row is its own direction and needs no solve.
 
 The method works on the dual: from the unconstrained minimizer (or the
 working set left by the previous solve) it picks the most violated row and
@@ -24,7 +25,7 @@ State per working set: the indices, the rows ``U_S`` and bounds ``b_S`` in
 contiguous blocks, and a lower Cholesky factor L of ``U_S U_S'``.  An add
 extends L by one row.  A drop deletes a column of R = L', and Givens
 rotations (``scipy.linalg.qr_delete``) restore the triangle in O(q^2).
-Triangular solves call BLAS directly.
+Triangular solves are the BLAS ones of :mod:`avisolve.linalg`.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dtrsm, dtrsv
+from scipy.linalg.blas import dtrsm
 
 from .errors import CycleLimit, DimensionMismatch, Infeasible
-from .linalg import SpdFactor, factor_spd
+from .linalg import SpdFactor, cholesky_solve, factor_spd, lower_solve, upper_solve
 
 __all__ = ["QpWorkspace", "QpResult", "qp_setup", "qp_solve"]
 
@@ -65,16 +66,6 @@ class QpResult:
     multipliers: np.ndarray
     active_set: tuple[int, ...]
     inner_iterations: int
-
-
-def _lower_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """L^{-1} rhs for lower triangular L; a C-contiguous L is passed uncopied."""
-    return dtrsv(L.T, rhs, trans=1)
-
-
-def _upper_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """L'^{-1} rhs for lower triangular L."""
-    return dtrsv(L.T, rhs)
 
 
 def _delete_factor_row(L: np.ndarray, k: int) -> np.ndarray:
@@ -118,7 +109,7 @@ class QpWorkspace:
         self.eps_dual = _EPS_DUAL
         # G = C C' and the whitened rows U = A C^{-T}, solved in place: U' is
         # the Fortran-ordered view of the C-ordered buffer
-        self._C = factor.lower * np.sqrt(factor.diag)
+        self._C = factor.chol
         self._U = np.array(A, order="C")
         dtrsm(1.0, self._C.T, self._U.T, lower=0, trans_a=1, overwrite_b=1)
         self._S: list[int] = []
@@ -170,7 +161,7 @@ class QpWorkspace:
         q = len(self._S)
         if not q:
             return np.zeros(0), uu
-        l = _lower_solve(self._L, self._AS[:q] @ u)
+        l = lower_solve(self._L, self._AS[:q] @ u)
         return l, (uu - float(l @ l) if q < len(self._AS) else 0.0)
 
     def _append(self, idx: int, l: np.ndarray, d: float) -> None:
@@ -191,10 +182,6 @@ class QpWorkspace:
         self._bS[pos : q - 1] = self._bS[pos + 1 : q]
         self._L = _delete_factor_row(self._L, pos)
 
-    def _msolve(self, u: np.ndarray) -> np.ndarray:
-        """Solve M r = u against the Cholesky factor of U_S U_S'."""
-        return _upper_solve(self._L, _lower_solve(self._L, u))
-
     def _eqp(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Equality-constrained solve on the current working set.
 
@@ -205,7 +192,7 @@ class QpWorkspace:
         if not q:
             return -c, np.zeros(0)
         US = self._AS[:q]
-        lam = -self._msolve(self._bS[:q] + US @ c)
+        lam = -cholesky_solve(self._L, self._bS[:q] + US @ c)
         return -c - US.T @ lam, lam
 
 
@@ -239,7 +226,7 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
     start_changes = ws.total_inner_iterations
     cap = 100 * (ws.m + ws.n)
     U, b, eps_primal, S = ws._U, ws.b, ws.eps_primal, ws._S
-    c = _lower_solve(ws._C, g)
+    c = lower_solve(ws._C, g)
 
     # Phase 1: re-solve on the inherited working set, shedding constraints
     # whose multipliers come out negative under the new linear term.
@@ -278,7 +265,7 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
                 raise CycleLimit("working-set change budget exhausted")
             q = len(S)
             l, d2 = ws._reduce(u, uu)
-            r = _upper_solve(ws._L, l) if q else l
+            r = upper_solve(ws._L, l) if q else l
             positive = (r > 0.0).nonzero()[0]
             if d2 > _DEP_REL * uu and d2 > 0.0:
                 t_full = vp / d2

@@ -278,12 +278,17 @@ def test_check_solution_rejects_bad_pairs():
     assert not check_solution(p, np.array([0.1]), np.array([1.8]), 1e-8, 1e-8)
     with pytest.raises(DimensionMismatch):
         check_solution(p, np.zeros(2), np.zeros(1), 1e-8, 1e-8)
+    # a NaN point is never exact, also without constraints
+    free = AviProblem(H=np.eye(2), f=np.ones(2), A=np.zeros((0, 2)), b=np.zeros(0))
+    assert not check_solution(free, np.array([np.nan, 0.0]), np.zeros(0), 1e-8, 1e-8)
 
 
 def test_kkt_residual_zero_at_solution():
     p = _scalar_problem(bound=0.25)
     assert kkt_residual(p, np.array([0.25]), np.array([1.5])) <= 1e-15
     assert kkt_residual(p, np.array([0.0]), np.array([0.0])) > 0.1
+    with pytest.raises(DimensionMismatch):
+        kkt_residual(p, np.zeros(1), np.zeros(2))
 
 
 def test_natural_residual_scalar_interior():
@@ -497,6 +502,13 @@ def test_solve_dr_daqp_maxiter():
 def test_solve_dr_daqp_z0_shape_check():
     with pytest.raises(DimensionMismatch):
         solve_dr_daqp(_scalar_problem(), z0=np.zeros(2))
+
+
+def test_reference_shape_check():
+    # checked before the first QP solve, by every solver
+    for solver in (solve_dr, solve_dr_daqp, solve_projected_gradient):
+        with pytest.raises(DimensionMismatch):
+            solver(_scalar_problem(), reference=np.zeros(3))
 
 
 def test_solve_dr_daqp_exact_with_ill_conditioned_h():

@@ -94,6 +94,18 @@ def test_read_problem_errors(tmp_path):
         read_problem(tmp_path / "missing.json")
 
 
+def test_read_problem_rejects_rows_when_m_is_zero(tmp_path, capsys):
+    # m = 0 with a non-empty A or b is inconsistent, not a reshape crash
+    bad = tmp_path / "bad.json"
+    doc = {"n": 2, "m": 0, "H": [[1.0, 0.0], [0.0, 1.0]], "f": [0.0, 0.0]}
+    for A, b in (([[1.0, 0.0]], []), ([], [1.0]), ([[1.0, 0.0]], [1.0])):
+        bad.write_text(json.dumps({**doc, "A": A, "b": b}))
+        with pytest.raises(ParseError):
+            read_problem(bad)
+        code, _ = _run(capsys, ["solve", str(bad)])
+        assert code == EXIT_PARSE
+
+
 def test_read_reference(tmp_path):
     ref = tmp_path / "ref.json"
     ref.write_text(json.dumps({"x": [1.0, 2.0], "status": "Exact"}))
@@ -167,6 +179,16 @@ def test_solve_with_reference(tmp_path, capsys):
         rows = list(csv.reader(handle))[1:]
     dists = [float(r[6]) for r in rows]
     assert dists[-1] <= 1e-5  # converged next to the reference
+
+
+def test_solve_rejects_wrong_length_reference(tmp_path, capsys):
+    problem_path = tmp_path / "p.json"
+    write_problem(problem_path, random_avi(GenSpec(n=2, m=4, gamma_asym=0.5, seed=3)))
+    ref_path = tmp_path / "ref.json"
+    ref_path.write_text(json.dumps({"x": [0.0, 0.0, 0.0]}))
+    code, out = _run(capsys, ["solve", str(problem_path), "--reference", str(ref_path)])
+    assert code == EXIT_PARSE
+    assert out == ""
 
 
 def test_solve_missing_file(tmp_path, capsys):

@@ -6,14 +6,31 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from avisolve import DimensionMismatch, NotPositiveDefinite, Singular
+from avisolve import DimensionMismatch, NotPositiveDefinite, Singular, qp_setup
 from avisolve.linalg import factor_general, factor_spd
 
 
 def test_factor_spd_identity():
     factor = factor_spd(np.eye(3))
-    np.testing.assert_allclose(factor.diag, np.ones(3))
-    np.testing.assert_allclose(factor.lower, np.eye(3))
+    np.testing.assert_allclose(factor.chol, np.eye(3))
+
+
+def test_factor_spd_keeps_c_ordered_cholesky_factor():
+    # the one factor form: LAPACK's lower Cholesky factor in C order, which
+    # the inner QP whitens with as it stands
+    for n in (1, 4, 30):
+        rng = np.random.default_rng(n)
+        g = rng.standard_normal((n, n))
+        m = g.T @ g + np.eye(n)
+        chol = factor_spd(m).chol
+        assert chol.flags.c_contiguous
+        assert np.array_equal(chol, np.tril(chol))
+        assert np.all(np.diag(chol) > 0.0)
+        ref = np.linalg.cholesky(m)
+        assert np.max(np.abs(chol - ref)) <= 1e-13 * np.max(np.abs(ref))
+        ws = qp_setup(m, rng.standard_normal((3, n)), np.ones(3))
+        assert ws._C is ws.hessian_factor.chol
+        assert np.array_equal(ws._C, chol)
 
 
 def test_factor_spd_forced_solve():

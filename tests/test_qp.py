@@ -37,7 +37,7 @@ def _random_instance(seed, n=2, m=8):
 def test_setup_empty_working_set():
     ws = qp_setup(np.eye(2), np.array([[1.0, 0.0]]), np.array([1.0]))
     assert ws.working_set == ()
-    np.testing.assert_allclose(ws.hessian_factor.diag, np.ones(2))
+    np.testing.assert_allclose(ws.hessian_factor.chol, np.eye(2))
 
 
 def test_setup_diagonal_factor():
