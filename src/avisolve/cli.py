@@ -120,9 +120,14 @@ def read_problem(path) -> tuple[AviProblem, dict]:
     for key in ("n", "m", "H", "f", "A", "b"):
         if key not in doc:
             raise ParseError(f"problem file {path} is missing field '{key}'")
+    for key in ("n", "m"):
+        size = doc[key]
+        if isinstance(size, bool) or not (
+            isinstance(size, int) or isinstance(size, float) and size.is_integer()
+        ):
+            raise ParseError(f"problem file {path} has a non-integer '{key}': {size!r}")
+    n, m = int(doc["n"]), int(doc["m"])
     try:
-        n = int(doc["n"])
-        m = int(doc["m"])
         H = np.asarray(doc["H"], dtype=float)
         f = np.asarray(doc["f"], dtype=float)
         A = np.asarray(doc["A"], dtype=float)
@@ -176,6 +181,23 @@ def read_reference(path) -> np.ndarray:
         raise ParseError(f"reference file {path} has a malformed 'x' array: {exc}") from exc
 
 
+def _check_writable(path, what: str) -> None:
+    """Raise ParseError unless an output file can be opened at ``path``.
+
+    Called before any work, so that a bad path costs no solve; a file the
+    check itself creates is removed again.
+    """
+    path = Path(path)
+    existed = path.exists()
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ParseError(f"cannot write {what} {path}: {exc}") from exc
+    if not existed:
+        path.unlink()
+
+
 def write_trace(path, trace) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -219,6 +241,8 @@ def cmd_solve(args) -> int:
     reference = read_reference(args.reference) if args.reference else None
     if reference is not None and reference.shape != (problem.n,):
         raise ParseError(f"reference 'x' has shape {reference.shape}, expected ({problem.n},)")
+    if args.trace:
+        _check_writable(args.trace, "trace file")
     settings = _settings_from_args(args)
     solver = _SOLVERS[args.solver]
     solution, trace = solver(problem, settings, reference=reference)
@@ -242,17 +266,18 @@ def cmd_solve(args) -> int:
     return EXIT_MAXITER
 
 
-def cmd_gen(args) -> int:
+def _gen_spec(**fields) -> GenSpec:
     try:
-        spec = GenSpec(
-            n=args.n,
-            m=args.m,
-            gamma_asym=args.gamma,
-            seed=args.seed,
-            regularization=args.reg,
-        )
+        return GenSpec(**fields)
     except ValueError as exc:
         raise ParseError(f"invalid generator spec: {exc}") from exc
+
+
+def cmd_gen(args) -> int:
+    spec = _gen_spec(
+        n=args.n, m=args.m, gamma_asym=args.gamma, seed=args.seed, regularization=args.reg
+    )
+    _check_writable(args.output, "problem file")
     problem = random_avi(spec)
     metadata = {
         "seed": spec.seed,
@@ -287,12 +312,13 @@ def cmd_bench(args) -> int:
     for name in solver_names:
         if name not in _SOLVERS:
             raise ParseError(f"unknown solver '{name}' (choose from {sorted(_SOLVERS)})")
+    _check_writable(args.output, "benchmark CSV")
 
     rows = []
     for n in sizes:
         m = 10 * n
         for seed in range(1, args.instances + 1):
-            spec = GenSpec(n=n, m=m, gamma_asym=args.gamma, seed=seed)
+            spec = _gen_spec(n=n, m=m, gamma_asym=args.gamma, seed=seed)
             try:
                 problem = random_avi(spec)
             except AviSolveError:

@@ -106,6 +106,20 @@ def test_read_problem_rejects_rows_when_m_is_zero(tmp_path, capsys):
         assert code == EXIT_PARSE
 
 
+def test_read_problem_rejects_non_integer_sizes(tmp_path, capsys):
+    # a size is an integer: 1.7 was truncated to 1 and solved without complaint
+    bad = tmp_path / "bad.json"
+    doc = {"n": 1, "m": 0, "H": [[1.0]], "f": [0.0], "A": [], "b": []}
+    for field in ({"n": 1.7}, {"m": 0.5}, {"n": True}, {"m": False}, {"n": "1"}):
+        bad.write_text(json.dumps({**doc, **field}))
+        with pytest.raises(ParseError):
+            read_problem(bad)
+        code, _ = _run(capsys, ["solve", str(bad)])
+        assert code == EXIT_PARSE
+    bad.write_text(json.dumps({**doc, "n": 1.0}))
+    assert read_problem(bad)[0].n == 1
+
+
 def test_read_reference(tmp_path):
     ref = tmp_path / "ref.json"
     ref.write_text(json.dumps({"x": [1.0, 2.0], "status": "Exact"}))
@@ -327,6 +341,45 @@ def test_bench_rejects_unknown_solver(tmp_path, capsys):
                  "--solvers", "newton", "-o", str(tmp_path / "b.csv")]
     )
     assert code == EXIT_PARSE
+
+
+def test_bench_rejects_bad_gamma(tmp_path, capsys):
+    out_csv = tmp_path / "b.csv"
+    code, _ = _run(
+        capsys, ["bench", "--sizes", "2", "--instances", "1", "--gamma", "2",
+                 "-o", str(out_csv)]
+    )
+    assert code == EXIT_PARSE
+    assert not out_csv.exists()
+
+
+def test_unwritable_output_paths_fail_before_any_work(tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir"
+    problem = str(_scalar_file(tmp_path))
+    for argv in (
+        ["solve", problem, "--trace", str(missing / "t.csv")],
+        ["gen", "--n", "2", "--m", "4", "--gamma", "0.5", "--seed", "1",
+         "-o", str(missing / "x.json")],
+        ["bench", "--sizes", "2", "--instances", "1", "-o", str(missing / "b.csv")],
+    ):
+        code, out = _run(capsys, argv)
+        assert code == EXIT_PARSE
+        assert out == ""  # no solution printed, no "wrote" line
+    assert not (tmp_path / "no").exists()
+
+
+def test_output_path_check_leaves_no_file_behind(tmp_path, capsys):
+    # a failed solve after the check must not leave an empty trace file
+    path = tmp_path / "skew.json"
+    write_problem(
+        path,
+        AviProblem(H=np.array([[0.0, 1.0], [-1.0, 0.0]]), f=np.zeros(2),
+                   A=np.zeros((0, 2)), b=np.zeros(0)),
+    )
+    trace = tmp_path / "t.csv"
+    code, _ = _run(capsys, ["solve", str(path), "--trace", str(trace)])
+    assert code == EXIT_ASSUMPTION
+    assert not trace.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,17 @@ import signal
 import numpy as np
 import pytest
 
+import avisolve.qp as qp_module
 from avisolve import (
     AviProblem,
     DimensionMismatch,
+    GenSpec,
     Infeasible,
     NotPositiveDefinite,
     brute_force_solve,
     qp_setup,
     qp_solve,
+    random_avi,
 )
 from avisolve.avi import kkt_residual
 
@@ -32,6 +35,17 @@ def _random_instance(seed, n=2, m=8):
     b = A @ x0 + rng.uniform(0.1, 1.1, m)
     linear = rng.standard_normal(n)
     return hessian, linear, A, b
+
+
+def _vertex_qp(n, seed):
+    """A QP shaped like the first inner QP of ``solve_dr_daqp`` on
+    ``random_avi`` at m = 10 n: unit-norm rows and Hessian sym(H) + |H|_F I.
+    The linear term 3 f drives the solution to a (near) full vertex, so a
+    cold solve makes several working-set changes per variable."""
+    p = random_avi(GenSpec(n=n, m=10 * n, gamma_asym=0.5, seed=seed))
+    norms = np.linalg.norm(p.A, axis=1)
+    hessian = 0.5 * (p.H + p.H.T) + np.linalg.norm(p.H, "fro") * np.eye(n)
+    return hessian, 3.0 * p.f, p.A / norms[:, None], p.b / norms
 
 
 def test_setup_empty_working_set():
@@ -172,6 +186,10 @@ def test_workspace_counter_accumulates():
     r1 = qp_solve(ws, linear)
     r2 = qp_solve(ws, -linear)
     assert ws.total_inner_iterations == r1.inner_iterations + r2.inner_iterations
+    # a repeat call changes nothing and needs one scan to confirm it
+    scans = ws.total_scans
+    qp_solve(ws, -linear)
+    assert ws.total_scans == scans + 1
 
 
 def test_infeasible():
@@ -371,3 +389,41 @@ def test_ill_conditioned_hessian_meets_kkt_tolerance():
         res = qp_solve(qp_setup(hessian, A, b), linear)
         prob = AviProblem(H=hessian, f=linear, A=A, b=b)
         assert kkt_residual(prob, res.y, res.multipliers) <= 1e-8
+
+
+def test_multiple_pricing_saves_scans_only_on_large_problems(monkeypatch):
+    # n = 130, m = 1300 lies above the pricing size, n = 30 below it
+    assert 30 * 300 < qp_module._PRICE_MIN_SIZE <= 130 * 1300
+
+    def scans_and_changes(n, seed):
+        hessian, linear, A, b = _vertex_qp(n, seed)
+        ws = qp_setup(hessian, A, b)
+        res = qp_solve(ws, linear)
+        return ws.total_scans, res.inner_iterations, res.y
+
+    for seed in range(2):
+        large = scans_and_changes(130, seed)
+        small = scans_and_changes(30, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(qp_module, "_PRICE_K", 1)
+            large_ref = scans_and_changes(130, seed)
+            small_ref = scans_and_changes(30, seed)
+        assert large[0] < 0.8 * large[1]
+        assert large[0] < 0.5 * large_ref[0]
+        # below the pricing size the path is the unpriced one, bit for bit
+        assert small[:2] == small_ref[:2]
+        assert np.array_equal(small[2], small_ref[2])
+
+
+def test_multiple_pricing_finds_the_unpriced_solution(monkeypatch):
+    for seed in range(5):
+        hessian, linear, A, b = _vertex_qp(130, seed)
+        ws = qp_setup(hessian, A, b)
+        res = qp_solve(ws, linear)
+        with monkeypatch.context() as patch:
+            patch.setattr(qp_module, "_PRICE_K", 1)
+            ref = qp_solve(qp_setup(hessian, A, b), linear)
+        assert res.active_set == ref.active_set
+        assert np.max(np.abs(res.y - ref.y)) <= 1e-10
+        assert np.max(A @ res.y - b) <= ws.eps_primal
+
