@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -123,29 +124,29 @@ class SolverSettings:
     rho=None and pg_step=None select the automatic choices: rho becomes the
     Frobenius norm of H, and the projected-gradient step becomes mu / L**2
     with mu the smallest eigenvalue of sym(H) and L the Frobenius norm of H.
+    The exactness tolerances ``eps_primal`` and ``eps_dual`` of
+    :func:`check_solution` are fixed class constants.
     """
 
+    eps_primal: ClassVar[float] = 1e-8
+    eps_dual: ClassVar[float] = 1e-8
     rho: float | None = None
     eta: float = 1e-6
     max_iter: int = 10000
     stab_count: int = 2
-    eps_primal: float = 1e-8
-    eps_dual: float = 1e-8
     pg_step: float | None = None
 
     def __post_init__(self):
-        if self.rho is not None and not self.rho > 0:
-            raise ValueError("rho must be positive or None")
+        if self.rho is not None and not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite, or None")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.stab_count < 1:
             raise ValueError("stab_count must be at least 1")
-        if not (self.eps_primal > 0 and self.eps_dual > 0):
-            raise ValueError("exactness tolerances must be positive")
-        if self.pg_step is not None and not self.pg_step > 0:
-            raise ValueError("pg_step must be positive or None")
+        if self.pg_step is not None and not 0 < self.pg_step < math.inf:
+            raise ValueError("pg_step must be positive and finite, or None")
 
 
 @dataclass
@@ -221,9 +222,6 @@ class IterationTrace:
 
     def __getitem__(self, idx):
         return self.records[idx]
-
-    def merits(self) -> np.ndarray:
-        return np.array([r.merit for r in self.records])
 
     def dists(self) -> np.ndarray:
         """dist_to_ref per iteration, NaN where no reference was supplied."""
@@ -431,10 +429,12 @@ def natural_residual(p: AviProblem, z: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def _point(p: AviProblem, v, name: str) -> np.ndarray:
-    """v as a float vector of length n, or DimensionMismatch naming it."""
+    """v as a finite float vector of length n, or an error naming it."""
     v = np.asarray(v, dtype=float)
     if v.shape != (p.n,):
         raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({p.n},)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} contains non-finite entries")
     return v
 
 
@@ -459,11 +459,9 @@ def _equilibrate(p: AviProblem) -> tuple[AviProblem, np.ndarray]:
 def _newton_candidate(p: AviProblem, act: tuple[int, ...], reduced: ReducedKkt):
     """Reduced KKT solve for act, or None when the system is unavailable.
 
-    Returns (x, full multipliers) on success.  Oversized or rank-deficient
-    active sets yield None; the caller then falls back to splitting steps.
+    Returns (x, full multipliers) on success.  A rank-deficient active set
+    yields None; the caller then falls back to splitting steps.
     """
-    if len(act) > p.n:
-        return None
     try:
         x, lam_act = kkt_active_solve(p, act, reduced)
     except Singular:

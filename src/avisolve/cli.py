@@ -176,9 +176,12 @@ def read_reference(path) -> np.ndarray:
     if not isinstance(doc, dict) or "x" not in doc:
         raise ParseError(f"reference file {path} must be a JSON object with an 'x' array")
     try:
-        return np.asarray(doc["x"], dtype=float)
+        x = np.asarray(doc["x"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"reference file {path} has a malformed 'x' array: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise ParseError(f"reference file {path} has non-finite entries in 'x'")
+    return x
 
 
 def _check_writable(path, what: str) -> None:

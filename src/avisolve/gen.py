@@ -62,8 +62,8 @@ class GenSpec:
             raise ValueError("m must be nonnegative")
         if not 0.0 <= self.gamma_asym <= 1.0:
             raise ValueError("gamma_asym must lie in [0, 1]")
-        if self.regularization < 0:
-            raise ValueError("regularization must be nonnegative")
+        if not 0.0 <= self.regularization < np.inf:
+            raise ValueError("regularization must be finite and nonnegative")
 
 
 def generator_draws(spec: GenSpec) -> dict[str, np.ndarray]:

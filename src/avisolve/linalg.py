@@ -119,14 +119,16 @@ class GeneralFactor:
 def factor_spd(matrix: np.ndarray) -> SpdFactor:
     """Factor a symmetric positive definite matrix as C C^T.
 
-    The input must be symmetric to within ``1e-12 * max|M|``; every pivot
-    C_jj^2 must exceed ``1e-12 * trace(M) / n``.  Violations raise
+    The input must be finite and symmetric to within ``1e-12 * max|M|``;
+    every pivot C_jj^2 must exceed ``1e-12 * trace(M) / n``.  Violations raise
     :class:`~avisolve.errors.NotPositiveDefinite`, which doubles as the
     positive-definiteness test used elsewhere in the package.
     """
     mat = _require_square(matrix, "factor_spd")
     n = mat.shape[0]
     scale = abs(mat).max()
+    if not np.isfinite(scale):
+        raise NotPositiveDefinite("matrix contains non-finite entries")
     if abs(mat - mat.T).max() > _SYM_REL * scale:
         raise NotPositiveDefinite("matrix is not symmetric to working precision")
 
@@ -147,14 +149,16 @@ def factor_spd(matrix: np.ndarray) -> SpdFactor:
 def factor_general(matrix: np.ndarray) -> GeneralFactor:
     """LU-factor a general square matrix, rejecting singular input.
 
-    A factorization counts as singular when any diagonal entry of U falls at
-    or below ``1e-12`` times the largest row sum of ``|M|``.
+    Non-finite input counts as singular, and so does a factorization with a
+    diagonal entry of U at or below ``1e-12`` times the largest row sum of |M|.
     """
     mat = _require_square(matrix, "factor_general")
     n = mat.shape[0]
+    row_scale = abs(mat).sum(axis=1).max()
+    if not np.isfinite(row_scale):
+        raise Singular("matrix contains non-finite entries")
     # an exactly zero pivot (info > 0) fails the diagonal test below
     lu, piv, _ = dgetrf(mat)
-    row_scale = abs(mat).sum(axis=1).max()
     if abs(lu.diagonal()).min() <= _SINGULAR_REL * row_scale:
         raise Singular("matrix is singular to working precision")
     return GeneralFactor(lu, piv, n)

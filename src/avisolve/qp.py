@@ -15,11 +15,14 @@ y = -G^{-1} (g + A_S' lam).  In between the Hessian is the identity, so an
 entering row is its own direction and needs no solve.
 
 The method works on the dual: from the unconstrained minimizer (or the
-working set left by the previous solve) it picks a violated row and takes
-the largest step toward it that keeps the working-set multipliers
-nonnegative, dropping blocking rows on the way.  Iterates stay dual
-feasible, so a warm start from a nearly correct working set costs almost
-nothing.  The solvers pass unit-norm rows, so violations compare directly.
+working set left by the previous solve) it picks a violated row and steps
+toward it by the smaller of two lengths (Goldfarb & Idnani 1983): t_add adds
+the row, t_drop drops the working-set row whose multiplier first reaches 0.
+t_add is infinite when ``QpWorkspace._reduce``, the one admission test,
+refuses the row, t_drop when no multiplier blocks, and both when the
+constraints are infeasible.  Iterates stay dual feasible, so a warm start
+from a nearly correct working set costs almost nothing.  The solvers pass
+unit-norm rows, so violations compare directly.
 
 The entering row is the most violated one, found by a full scan of all m
 violations.  When m * n reaches ``_PRICE_MIN_SIZE`` that scan, an m x n
@@ -55,9 +58,8 @@ __all__ = ["QpWorkspace", "QpResult", "qp_setup", "qp_solve"]
 _EPS_DUAL = 1e-10
 # Relative scale for the primal feasibility tolerance (times 1 + max|b|).
 _EPS_PRIMAL_REL = 1e-8
-# A candidate row u counts as dependent on the working set when the squared
-# norm of its reduced direction falls below this fraction of u'u, or when
-# the working set already holds min(m, n) rows.
+# _reduce refuses a row u whose squared reduced norm is at most this fraction
+# of u'u: it depends on the working set.
 _DEP_REL = 1e-14
 # Multiple pricing (module docstring) starts at m * n = _PRICE_MIN_SIZE.  A
 # smaller scan costs less than the extra working-set changes that entering
@@ -102,9 +104,12 @@ def _delete_factor_row(L: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(R.T)
 
 
-def _blocking_row(S: list[int], lam: np.ndarray, r: np.ndarray, positive: np.ndarray):
-    """Largest step t keeping lam - t r >= 0 on ``positive`` (where r > 0)
-    and the position of the blocking row; ties go to the smallest constraint index."""
+def _blocking_row(S: list[int], lam: np.ndarray, r: np.ndarray) -> tuple[float, int]:
+    """Largest step t keeping lam - t r >= 0 and the position of the blocking
+    row, ties to the smallest constraint index; (inf, -1) when no r_i > 0."""
+    positive = (r > 0.0).nonzero()[0]
+    if not positive.size:
+        return math.inf, -1
     ratios = lam[positive] / r[positive]
     t = ratios.min()
     tied = positive[ratios <= t]
@@ -144,7 +149,7 @@ class QpWorkspace:
     # -- working-set bookkeeping -------------------------------------------
 
     def set_working_set(self, indices) -> None:
-        """Reset the working set, skipping rows dependent on earlier ones.
+        """Reset the working set to the rows of ``indices`` that _reduce admits.
 
         Used for cold starts and to rewind the state after a rejected
         acceleration step in the outer solver.  A bad index raises before the
@@ -159,26 +164,21 @@ class QpWorkspace:
         self._L = np.zeros((0, 0))
         for i in indices:
             u = self._U[i]
-            uu = float(u @ u)
-            if uu <= 0.0:
-                continue  # zero row carries no geometry
-            l, d2 = self._reduce(u, uu)
-            if d2 <= _DEP_REL * uu:
-                continue
-            self._append(i, l, math.sqrt(d2))
+            l, d2 = self._reduce(u, float(u @ u))
+            if d2:
+                self._append(i, l, math.sqrt(d2))
 
     def _reduce(self, u: np.ndarray, uu: float) -> tuple[np.ndarray, float]:
-        """L^{-1} U_S u and the squared norm of the entering row's reduced
-        direction, u'u - |L^{-1} U_S u|^2, for a whitened row u.
+        """L^{-1} U_S u and d2 = u'u - |L^{-1} U_S u|^2 for a whitened row u.
 
-        The norm reads 0 once the working set is full: a further row then
-        depends on the working set whatever roundoff says.
+        The only admission test: d2 reads 0, and u may not enter, for a zero
+        row, for a full working set (a further row depends on it whatever
+        roundoff says) and when d2 <= _DEP_REL * u'u (u depends on U_S).
         """
         q = len(self._S)
-        if not q:
-            return np.zeros(0), uu
-        l = lower_solve(self._L, self._AS[:q] @ u)
-        return l, (uu - float(l @ l) if q < len(self._AS) else 0.0)
+        l = lower_solve(self._L, self._AS[:q] @ u) if q else np.zeros(0)
+        d2 = uu - float(l @ l) if q < len(self._AS) else 0.0
+        return l, (d2 if d2 > _DEP_REL * uu else 0.0)
 
     def _append(self, idx: int, l: np.ndarray, d: float) -> None:
         q = len(self._S)
@@ -222,6 +222,8 @@ def qp_setup(hessian: np.ndarray, A: np.ndarray, b: np.ndarray) -> QpWorkspace:
         raise DimensionMismatch(f"constraint matrix shape {A.shape} incompatible with n={n}")
     if b.shape != (A.shape[0],):
         raise DimensionMismatch(f"rhs shape {b.shape} incompatible with {A.shape[0]} constraints")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise ValueError("A or b contains non-finite entries")
     return QpWorkspace(factor, A, b)
 
 
@@ -236,6 +238,8 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
     g = np.asarray(linear_term, dtype=float)
     if g.shape != (ws.n,):
         raise DimensionMismatch(f"linear term shape {g.shape}, expected ({ws.n},)")
+    if not np.isfinite(g).all():
+        raise ValueError("linear term contains non-finite entries")
     if not warm_start and ws._S:
         ws.set_working_set([])
 
@@ -301,33 +305,22 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
             q = len(S)
             l, d2 = ws._reduce(u, uu)
             r = upper_solve(ws._L, l) if q else l
-            positive = (r > 0.0).nonzero()[0]
-            if d2 > _DEP_REL * uu and d2 > 0.0:
-                t_full = vp / d2
-                if positive.size:
-                    t_drop, k = _blocking_row(S, lam, r, positive)
-                else:
-                    t_drop, k = np.inf, -1
-                t = min(t_full, t_drop)
-                zero_steps = 0 if t > 0.0 else zero_steps + 1
+            t_add = vp / d2 if d2 else math.inf
+            t_drop, k = _blocking_row(S, lam, r)
+            t = min(t_add, t_drop)
+            if t == math.inf:
+                raise Infeasible(f"constraint {p} is inconsistent with the working set")
+            zero_steps = 0 if t > 0.0 else zero_steps + 1
+            if d2:  # a refused row moves v by zero up to roundoff; skip it
                 v = v - t * (u - ws._AS[:q].T @ r if q else u)
-                if q:
-                    lam = lam - t * r
-                acc += t
-                if t_full <= t_drop:
-                    ws._append(p, l, math.sqrt(d2))
-                    ws.total_inner_iterations += 1
-                    lam = np.concatenate((lam, (acc,)))
-                    break
-            else:
-                # the entering row is dependent on the working set; move in
-                # the dual only, or certify infeasibility
-                if not positive.size:
-                    raise Infeasible(f"constraint {p} is inconsistent with the working set")
-                t, k = _blocking_row(S, lam, r, positive)
-                zero_steps = 0 if t > 0.0 else zero_steps + 1
+            if q:
                 lam = lam - t * r
-                acc += t
+            acc += t
+            if t_add <= t_drop:
+                ws._append(p, l, math.sqrt(d2))
+                ws.total_inner_iterations += 1
+                lam = np.concatenate((lam, (acc,)))
+                break
             ws._drop(k)
             ws.total_inner_iterations += 1
             lam = np.concatenate((lam[:k], lam[k + 1 :]))

@@ -8,6 +8,7 @@ splitting run is z+ = (3 + 5 z) / 8, and starting from 0 the first iterates
 are 0.375 and 0.609375.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -76,15 +77,34 @@ def test_problem_rejects_nonfinite():
         )
 
 
+@pytest.mark.parametrize("name", ["z0", "reference"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_start_or_reference_is_rejected(name, value, deadline):
+    # a non-finite z0 used to make the inner QP spin without end
+    with deadline(5.0), pytest.raises(ValueError, match=f"{name} contains non-finite"):
+        solve_dr_daqp(_scalar_problem(), **{name: [value]})
+
+
+def test_settings_fields_and_fixed_tolerances():
+    # the exactness tolerances are class constants, not constructor fields
+    assert len(dataclasses.fields(SolverSettings)) == 5
+    s = SolverSettings()
+    assert s.eps_primal == s.eps_dual == 1e-8
+    with pytest.raises(TypeError):
+        SolverSettings(eps_primal=1e-6)
+
+
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(rho=-1.0)
+    for rho in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            SolverSettings(rho=rho)
     with pytest.raises(ValueError):
         SolverSettings(eta=0.0)
     with pytest.raises(ValueError):
         SolverSettings(stab_count=0)
-    with pytest.raises(ValueError):
-        SolverSettings(pg_step=0.0)
+    for pg_step in (0.0, np.inf):
+        with pytest.raises(ValueError):
+            SolverSettings(pg_step=pg_step)
 
 
 def test_assumption_violation_rejected():

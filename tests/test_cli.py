@@ -205,14 +205,28 @@ def test_solve_rejects_wrong_length_reference(tmp_path, capsys):
     assert out == ""
 
 
+def test_solve_rejects_non_finite_reference(tmp_path, capsys):
+    # JSON as Python reads it accepts NaN and Infinity
+    problem_path = _scalar_file(tmp_path)
+    ref_path = tmp_path / "ref.json"
+    for value in ("NaN", "Infinity"):
+        ref_path.write_text(f'{{"x": [{value}]}}')
+        with pytest.raises(ParseError):
+            read_reference(ref_path)
+        code, out = _run(capsys, ["solve", str(problem_path), "--reference", str(ref_path)])
+        assert code == EXIT_PARSE
+        assert out == ""
+
+
 def test_solve_missing_file(tmp_path, capsys):
     code, _ = _run(capsys, ["solve", str(tmp_path / "nope.json")])
     assert code == EXIT_PARSE
 
 
 def test_solve_invalid_settings(tmp_path, capsys):
-    code, _ = _run(capsys, ["solve", str(_scalar_file(tmp_path)), "--eta", "-1"])
-    assert code == EXIT_PARSE
+    for option in (["--eta", "-1"], ["--rho", "inf"], ["--rho", "nan"]):
+        code, _ = _run(capsys, ["solve", str(_scalar_file(tmp_path)), *option])
+        assert code == EXIT_PARSE
 
 
 def test_solve_assumption_violation(tmp_path, capsys):
@@ -279,6 +293,17 @@ def test_gen_rejects_bad_gamma(tmp_path, capsys):
                  "-o", str(tmp_path / "x.json")]
     )
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize("reg", ["nan", "inf"])
+def test_gen_rejects_non_finite_regularization(reg, tmp_path, capsys):
+    out_path = tmp_path / "x.json"
+    code, _ = _run(
+        capsys, ["gen", "--n", "3", "--m", "4", "--gamma", "0.5", "--seed", "1",
+                 "--reg", reg, "-o", str(out_path)]
+    )
+    assert code == EXIT_PARSE
+    assert not out_path.exists()
 
 
 def test_gen_assumption_exit(tmp_path, capsys):

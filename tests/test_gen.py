@@ -27,8 +27,9 @@ def test_spec_validation():
         GenSpec(n=3, m=-1, gamma_asym=0.5, seed=1)
     with pytest.raises(ValueError):
         GenSpec(n=3, m=5, gamma_asym=1.5, seed=1)
-    with pytest.raises(ValueError):
-        GenSpec(n=3, m=5, gamma_asym=0.5, seed=1, regularization=-0.1)
+    for reg in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            GenSpec(n=3, m=5, gamma_asym=0.5, seed=1, regularization=reg)
 
 
 def test_determinism():

@@ -71,6 +71,16 @@ def test_factor_spd_rejects_nonsquare():
         factor_spd(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_factors_reject_non_finite_input(value):
+    # every comparison with NaN is false, so the pivot tests alone let it through
+    mat = np.full((2, 2), value)
+    with pytest.raises(NotPositiveDefinite, match="non-finite"):
+        factor_spd(mat)
+    with pytest.raises(Singular, match="non-finite"):
+        factor_general(mat)
+
+
 def test_factor_general_identity():
     factor = factor_general(np.eye(2))
     np.testing.assert_allclose(factor.solve(np.array([5.0, 7.0])), [5.0, 7.0])

@@ -5,8 +5,6 @@ symmetric positive definite Hessian G is the variational problem with H = G,
 so brute_force_solve provides ground truth for random cases.
 """
 
-import signal
-
 import numpy as np
 import pytest
 
@@ -233,6 +231,12 @@ def test_set_working_set_skips_dependent_rows():
     ws = qp_setup(np.eye(2), A, np.array([1.0, 1.0, 1.0]))
     ws.set_working_set([0, 1, 2])
     assert ws.working_set == (0, 2)
+    # a zero row enters neither an empty (q = 0) nor a nonempty working set
+    A = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    ws = qp_setup(np.eye(2), A, np.ones(4))
+    ws.set_working_set([0, 1, 2, 3])
+    assert ws.working_set == (1, 3)
+    _assert_factor_consistent(ws, np.eye(2), A)
 
 
 def _assert_factor_consistent(ws, hessian, A):
@@ -344,33 +348,34 @@ def test_entering_row_is_violated_even_when_another_scales_higher():
     assert res.inner_iterations == 1
 
 
-def test_entering_row_rounding_cannot_loop_forever():
+def test_entering_row_rounding_cannot_loop_forever(deadline):
     # row 7 sits exactly at the primal tolerance, so the scan over all rows
     # and a dot product with row 7 alone may round its violation to opposite
     # sides of it; the step must take the scan's value, or the row is picked
-    # again and again without a working-set change.  The alarm turns a hang
-    # into a failure.
-    def timeout(signum, frame):
-        raise TimeoutError("qp_solve did not return")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    try:
-        for seed in (1, 5, 6):
-            rng = np.random.default_rng(seed)
-            n, m = 40, 60
-            g = rng.standard_normal(n)
-            A = rng.standard_normal((m, n))
-            b = A @ (-g) + rng.uniform(1.0, 2.0, m)
-            b[7] = A[7] @ (-g) - 0.5
-            ws = qp_setup(np.eye(n), A, b)
-            ws.eps_primal = float(A[7] @ (-g) - b[7])
-            signal.setitimer(signal.ITIMER_REAL, 5.0)
+    # again and again without a working-set change.  The deadline turns a
+    # hang into a failure.
+    for seed in (1, 5, 6):
+        rng = np.random.default_rng(seed)
+        n, m = 40, 60
+        g = rng.standard_normal(n)
+        A = rng.standard_normal((m, n))
+        b = A @ (-g) + rng.uniform(1.0, 2.0, m)
+        b[7] = A[7] @ (-g) - 0.5
+        ws = qp_setup(np.eye(n), A, b)
+        ws.eps_primal = float(A[7] @ (-g) - b[7])
+        with deadline(5.0):
             res = qp_solve(ws, g, warm_start=False)
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            assert res.inner_iterations <= 1
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+        assert res.inner_iterations <= 1
+
+
+@pytest.mark.parametrize("where", ["g", "A", "b"])
+def test_non_finite_input_raises_instead_of_hanging(where, deadline):
+    # a NaN violation is neither above nor below the tolerance, so phase 2
+    # used to spin without a working-set change
+    data = {"g": np.array([1.0, -1.0]), "A": np.eye(2), "b": np.ones(2)}
+    data[where].flat[0] = np.nan
+    with deadline(5.0), pytest.raises(ValueError, match="non-finite"):
+        qp_solve(qp_setup(np.eye(2), data["A"], data["b"]), data["g"])
 
 
 def test_ill_conditioned_hessian_meets_kkt_tolerance():
