@@ -55,13 +55,13 @@ def _require_square(matrix: np.ndarray, op: str) -> np.ndarray:
 
 
 def lower_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """C^{-1} rhs for lower triangular C; a C-contiguous C is passed uncopied."""
-    return dtrsv(C.T, rhs, trans=1)
+    """C^{-1} rhs for lower triangular C (uncopied if C-contiguous); empty if rhs is."""
+    return dtrsv(C.T, rhs, trans=1) if rhs.size else rhs.copy()  # BLAS refuses n = 0
 
 
 def upper_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """C'^{-1} rhs for lower triangular C."""
-    return dtrsv(C.T, rhs)
+    """C'^{-1} rhs for lower triangular C; empty if rhs is."""
+    return dtrsv(C.T, rhs) if rhs.size else rhs.copy()
 
 
 def cholesky_solve(C: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -136,7 +136,8 @@ def factor_spd(matrix: np.ndarray) -> SpdFactor:
     if info > 0:
         raise NotPositiveDefinite(f"leading minor of order {info} is not positive definite")
     diag = np.diag(chol) ** 2
-    low = (diag <= _PIVOT_REL * mat.trace() / n).nonzero()[0]
+    # the floor summed as 1e-12 M_jj / n, which cannot overflow
+    low = (diag <= (_PIVOT_REL / n * mat.diagonal()).sum()).nonzero()[0]
     if low.size:
         j = int(low[0])
         raise NotPositiveDefinite(

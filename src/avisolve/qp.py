@@ -27,16 +27,17 @@ unit-norm rows, so violations compare directly.
 The entering row is the most violated one, found by a full scan of all m
 violations.  When m * n reaches ``_PRICE_MIN_SIZE`` that scan, an m x n
 product, outweighs an add, so it also keeps its next ``_PRICE_K`` - 1 most
-violated rows (multiple pricing): later passes take the first of them whose
-violation, re-tested by one dot product, still exceeds the tolerance, and
-scan again once the list runs out.  Any violated row keeps the method
-finite (Goldfarb & Idnani 1983), and a solve still ends only on a full scan
-that finds no violation.
+violated rows (multiple pricing).  Each later pass pops one of them and
+re-tests it by one dot product: a row still violated and outside the
+working set enters, a stale one just ends the pass, so not every pass
+changes the working set; once the list runs out, the next pass scans.  Any
+violated row keeps the method finite (Goldfarb & Idnani 1983), and a solve
+still ends only on a full scan that finds no violation.
 
 State per working set: the indices, the rows ``U_S`` and bounds ``b_S`` in
 contiguous blocks, and a lower Cholesky factor L of ``U_S U_S'``.  An add
 extends L by one row.  A drop deletes a column of R = L', and Givens
-rotations (``scipy.linalg.qr_delete``) restore the triangle in O(q^2).
+rotations (``scipy.linalg.qr_delete``) restore its trailing block in O(q^2).
 Triangular solves are the BLAS ones of :mod:`avisolve.linalg`.
 """
 
@@ -67,6 +68,8 @@ _DEP_REL = 1e-14
 # break-even lies near m * n = 1.2e5.
 _PRICE_K = 4
 _PRICE_MIN_SIZE = 150_000
+# qr_delete without its array-API wrapper, which costs more than a small downdate
+_qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_delete)
 
 
 @dataclass
@@ -89,19 +92,22 @@ def _delete_factor_row(L: np.ndarray, k: int) -> np.ndarray:
     """Cholesky factor of L L' with row and column k deleted, in O(q^2).
 
     Deleting column k of R = L' leaves R' R = L L' minus that row and
-    column; Givens rotations restore R to upper triangular form, and row
-    signs are flipped so the new factor keeps a positive diagonal.
+    column.  Givens rotations restore the trailing block, rows k.. of R, to
+    triangular form (rows above k stay so), and its rows flip sign so the
+    new factor keeps a positive diagonal.  L's trailing block is consumed.
     """
     q = L.shape[0]
-    if k == q - 1:
-        return L[:k, :k].copy()
-    # a column-ordered Q is rotated in place; a row-ordered one is copied
-    _, R = scipy.linalg.qr_delete(
-        np.eye(q, order="F"), L.T, k, which="col", overwrite_qr=True, check_finite=False
-    )
-    R = R[: q - 1]
-    R[R.diagonal() < 0.0] *= -1.0
-    return np.ascontiguousarray(R.T)
+    out = np.zeros((q - 1, q - 1))
+    out[:k, :k] = L[:k, :k]
+    out[k:, :k] = L[k + 1 :, :k]
+    if k < q - 1:
+        # a column-ordered Q is rotated in place; a row-ordered one is copied
+        Q = np.eye(q - k, order="F")
+        _, R = _qr_delete(Q, L[k:, k:].T, 0, which="col", overwrite_qr=True, check_finite=False)
+        R = R[:-1]
+        R[R.diagonal() < 0.0] *= -1.0
+        out[k:, k:] = R.T
+    return out
 
 
 def _blocking_row(S: list[int], lam: np.ndarray, r: np.ndarray) -> tuple[float, int]:
@@ -176,7 +182,7 @@ class QpWorkspace:
         roundoff says) and when d2 <= _DEP_REL * u'u (u depends on U_S).
         """
         q = len(self._S)
-        l = lower_solve(self._L, self._AS[:q] @ u) if q else np.zeros(0)
+        l = lower_solve(self._L, self._AS[:q] @ u)
         d2 = uu - float(l @ l) if q < len(self._AS) else 0.0
         return l, (d2 if d2 > _DEP_REL * uu else 0.0)
 
@@ -205,8 +211,6 @@ class QpWorkspace:
         v + c + U_S' lam_S = 0.
         """
         q = len(self._S)
-        if not q:
-            return -c, np.zeros(0)
         US = self._AS[:q]
         lam = -cholesky_solve(self._L, self._bS[:q] + US @ c)
         return -c - US.T @ lam, lam
@@ -262,40 +266,35 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
         v, lam = ws._eqp(c)
     settled = ws.total_inner_iterations
 
-    # Phase 2: dual active-set main loop.  Every pass changes the working
-    # set.  The entering row comes from the last scan's candidates or from a
-    # new full scan, and the step takes the violation that admitted it,
-    # recomputed only after a drop.  Only a full scan may end the loop.
+    # Phase 2: dual active-set main loop.  A pass takes one entering row, a
+    # priced candidate or a full scan's most violated row; a stale candidate
+    # just ends the pass, and only a scan may end the loop.  The step takes
+    # the violation that admitted the row, recomputed only after a drop.
     zero_steps = 0
     keep = min(_PRICE_K, ws.m) if ws.m * ws.n >= _PRICE_MIN_SIZE else 1
     candidates: list[int] = []
     while ws.m:
-        if zero_steps >= ws.m + ws.n:
+        if cycling := zero_steps >= ws.m + ws.n:
             candidates.clear()
-        p = -1
-        while candidates:
-            i = candidates.pop()
-            vp = float(U[i] @ v - b[i])
-            if vp > eps_primal and i not in S:
-                p = i
-                break
-        if p < 0:
+        if candidates:
+            p = candidates.pop()
+            vp = float(U[p] @ v - b[p])
+            if not vp > eps_primal or p in S:
+                continue
+        else:
             viol = U @ v
             viol -= b
             ws.total_scans += 1
-            if viol.max() <= eps_primal:
-                break
-            if zero_steps >= ws.m + ws.n:
-                # anti-cycling: fall back to smallest violated index
-                p = int((viol > eps_primal).argmax())
-            else:
-                p = int(viol.argmax())
-                if keep > 1:
-                    top = np.argpartition(viol, -keep)[-keep:]
-                    top = top[viol[top] > eps_primal]
-                    # most violated last, for pop()
-                    candidates = [i for i in top[viol[top].argsort()].tolist() if i != p]
+            # anti-cycling: fall back to the smallest violated index
+            p = int((viol > eps_primal).argmax() if cycling else viol.argmax())
             vp = float(viol[p])
+            if not vp > eps_primal:
+                break
+            if keep > 1 and not cycling:
+                top = np.argpartition(viol, -keep)[-keep:]
+                top = top[viol[top] > eps_primal]
+                # most violated last, for pop()
+                candidates = [i for i in top[viol[top].argsort()].tolist() if i != p]
         u = U[p]
         uu = float(u @ u)
         acc = 0.0  # multiplier accumulated for the entering constraint
@@ -304,7 +303,7 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
                 raise CycleLimit("working-set change budget exhausted")
             q = len(S)
             l, d2 = ws._reduce(u, uu)
-            r = upper_solve(ws._L, l) if q else l
+            r = upper_solve(ws._L, l)
             t_add = vp / d2 if d2 else math.inf
             t_drop, k = _blocking_row(S, lam, r)
             t = min(t_add, t_drop)
@@ -312,9 +311,8 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
                 raise Infeasible(f"constraint {p} is inconsistent with the working set")
             zero_steps = 0 if t > 0.0 else zero_steps + 1
             if d2:  # a refused row moves v by zero up to roundoff; skip it
-                v = v - t * (u - ws._AS[:q].T @ r if q else u)
-            if q:
-                lam = lam - t * r
+                v = v - t * (u - ws._AS[:q].T @ r)
+            lam = lam - t * r
             acc += t
             if t_add <= t_drop:
                 ws._append(p, l, math.sqrt(d2))

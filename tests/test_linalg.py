@@ -7,7 +7,13 @@ import pytest
 import scipy.linalg
 
 from avisolve import DimensionMismatch, NotPositiveDefinite, Singular, qp_setup
-from avisolve.linalg import factor_general, factor_spd
+from avisolve.linalg import (
+    cholesky_solve,
+    factor_general,
+    factor_spd,
+    lower_solve,
+    upper_solve,
+)
 
 
 def test_factor_spd_identity():
@@ -64,6 +70,29 @@ def test_factor_spd_rejects_pivot_below_floor():
     # positive definite, but the second pivot sits below 1e-12 * trace / n
     with pytest.raises(NotPositiveDefinite):
         factor_spd(np.diag([1.0, 1e-14]))
+
+
+def test_factor_spd_floor_does_not_overflow():
+    # 1e-12 * trace / n overflowed to inf at a diagonal near 1e308, which put
+    # every pivot below the floor; the largest finite diagonal factors too
+    big = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(factor_spd(np.diag([1e308, 1e308])).chol, np.eye(2) * 1e154)
+        for n in (2, 3, 9):
+            factor_spd(np.diag(np.full(n, big)))
+    # a pivot below 1e-12 times the mean diagonal still raises at that scale
+    with pytest.raises(NotPositiveDefinite, match="position 1"):
+        factor_spd(np.diag([1e308, 1e295]))
+
+
+def test_triangular_solves_of_an_empty_system():
+    # BLAS refuses n = 0; the solves return a fresh empty vector instead, so
+    # an empty working set needs no branch of its own
+    empty = np.zeros(0)
+    for solve in (lower_solve, upper_solve, cholesky_solve):
+        x = solve(np.zeros((0, 0)), empty)
+        assert x.shape == (0,) and x.dtype == np.float64 and x is not empty
 
 
 def test_factor_spd_rejects_nonsquare():

@@ -7,6 +7,7 @@ so brute_force_solve provides ground truth for random cases.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import avisolve.qp as qp_module
 from avisolve import (
@@ -274,6 +275,36 @@ def test_factor_tracks_random_adds_and_drops():
                 qp_solve(ws, 5.0 * rng.standard_normal(6))
             _assert_factor_consistent(ws, hessian, A)
         assert drops >= 5
+
+
+def _public_delete_factor_row(L, k):
+    """The downdate through the public qr_delete on the whole factor."""
+    q = L.shape[0]
+    if k == q - 1:
+        return L[:k, :k].copy()
+    _, R = scipy.linalg.qr_delete(np.eye(q), L.T.copy(), k, which="col", check_finite=False)
+    R = R[: q - 1].copy()
+    R[R.diagonal() < 0.0] *= -1.0
+    return R.T
+
+
+def test_delete_factor_row_matches_public_qr_delete():
+    # rotating only the trailing block leaves the factor bit for bit as the
+    # public routine on the whole factor gives it; only the (unread) zeros
+    # above the diagonal may differ in sign
+    rng = np.random.default_rng(7)
+    for q in range(1, 41):
+        M = rng.standard_normal((q, q + 2))
+        G = M @ M.T
+        L = np.linalg.cholesky(G)
+        for k in range(q):
+            got = qp_module._delete_factor_row(L.copy(), k)
+            want = _public_delete_factor_row(L, k)
+            assert got.shape == (q - 1, q - 1) and got.flags.c_contiguous
+            assert np.tril(got).tobytes() == np.tril(want).tobytes()
+            assert not np.triu(got, 1).any()
+            keep = np.delete(np.arange(q), k)
+            assert np.allclose(got @ got.T, G[np.ix_(keep, keep)], rtol=1e-12, atol=1e-12 * q)
 
 
 def test_factor_after_set_working_set():
