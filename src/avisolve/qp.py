@@ -68,7 +68,7 @@ _DEP_REL = 1e-14
 # break-even lies near m * n = 1.2e5.
 _PRICE_K = 4
 _PRICE_MIN_SIZE = 150_000
-# qr_delete without its array-API wrapper, which costs more than a small downdate
+# qr_delete unwrapped; test_delete_factor_row_matches_public_qr_delete pins it
 _qr_delete = getattr(scipy.linalg.qr_delete, "__wrapped__", scipy.linalg.qr_delete)
 
 

@@ -2,9 +2,11 @@
 
 Two source trees that print the same digest give byte-identical outputs on
 every case, which is how a change that claims to keep behaviour is checked:
-run the script in both trees and compare the line it prints.
+run the script in both trees and compare the last line it prints.
 
-    python3 tools/output_digest.py [--seed 23] [--counts]
+    python3 tools/output_digest.py
+
+It prints the number of cases, then the digest.
 
 The cases, each hashed in a fixed order:
 
@@ -12,7 +14,7 @@ The cases, each hashed in a fixed order:
   seeds 0-19) under ``solve_dr_daqp``, ``solve_dr``,
   ``solve_dr_daqp(warm_start=False)`` and, at n = 10,
   ``solve_projected_gradient``;
-* the benchmark pools of run seed ``--seed`` (perfbench/workloads.py): the
+* the benchmark pools of run seed ``POOL_SEED`` (perfbench/workloads.py): the
   first 4 ``vertex``, the first 24 ``game`` and all 128 ``small`` instances,
   under ``solve_dr_daqp``;
 * direct ``qp_setup``/``qp_solve`` calls: 900 small QPs (n 1-8, m 0 to
@@ -35,7 +37,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
@@ -52,6 +53,7 @@ from avisolve import AviSolveError, GenSpec, qp_setup, qp_solve, random_avi  # n
 
 QP_CASES = 900
 PRICED_CASES = 4
+POOL_SEED = 23
 
 
 class Digest:
@@ -98,7 +100,7 @@ def _solve(solver, problem, **kwargs):
     )
 
 
-def solver_cases(d: Digest, seed: int) -> None:
+def solver_cases(d: Digest) -> None:
     for n in (10, 30):
         for s in range(20):
             prob = random_avi(GenSpec(n=n, m=10 * n, gamma_asym=0.5, seed=s))
@@ -110,7 +112,7 @@ def solver_cases(d: Digest, seed: int) -> None:
     for name, count in (("vertex", 4), ("game", 24), ("small", 128)):
         build = workloads.WORKLOADS[name].build
         for index in range(count):
-            prob = build(seed, index)
+            prob = build(POOL_SEED, index)
             d.case(lambda: _solve(avisolve.solve_dr_daqp, prob))
 
 
@@ -181,15 +183,10 @@ def qp_cases(d: Digest) -> None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=23, help="benchmark pool run seed")
-    parser.add_argument("--counts", action="store_true", help="also print the number of cases")
-    args = parser.parse_args()
     d = Digest()
-    solver_cases(d, args.seed)
+    solver_cases(d)
     qp_cases(d)
-    if args.counts:
-        print(f"{d.count} cases")
+    print(f"{d.count} cases")
     print(d.hexdigest())
     return 0
 
