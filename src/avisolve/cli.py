@@ -48,6 +48,7 @@ from .oracle import brute_force_solve
 
 __all__ = [
     "EXIT_OK",
+    "EXIT_ERROR",
     "EXIT_PARSE",
     "EXIT_ASSUMPTION",
     "EXIT_MAXITER",

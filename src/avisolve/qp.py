@@ -20,9 +20,11 @@ toward it by the smaller of two lengths (Goldfarb & Idnani 1983): t_add adds
 the row, t_drop drops the working-set row whose multiplier first reaches 0.
 t_add is infinite when ``QpWorkspace._reduce``, the one admission test,
 refuses the row, t_drop when no multiplier blocks, and both when the
-constraints are infeasible.  Iterates stay dual feasible, so a warm start
-from a nearly correct working set costs almost nothing.  The solvers pass
-unit-norm rows, so violations compare directly.
+constraints are infeasible.  It ends without an anti-cycling rule: an add
+steps by t_add > 0, so a zero step drops, at most min(m, n) times in a row.
+Iterates stay dual feasible, so a warm start from a nearly correct working
+set costs almost nothing.  The solvers pass unit-norm rows, so violations
+compare directly.
 
 The entering row is the most violated one, found by a full scan of all m
 violations.  When m * n reaches ``_PRICE_MIN_SIZE`` that scan, an m x n
@@ -110,16 +112,15 @@ def _delete_factor_row(L: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _blocking_row(S: list[int], lam: np.ndarray, r: np.ndarray) -> tuple[float, int]:
+def _blocking_row(lam: np.ndarray, r: np.ndarray) -> tuple[float, int]:
     """Largest step t keeping lam - t r >= 0 and the position of the blocking
-    row, ties to the smallest constraint index; (inf, -1) when no r_i > 0."""
+    row, ties to the first blocking position; (inf, -1) when no r_i > 0."""
     positive = (r > 0.0).nonzero()[0]
     if not positive.size:
         return math.inf, -1
     ratios = lam[positive] / r[positive]
-    t = ratios.min()
-    tied = positive[ratios <= t]
-    return float(t), min(tied.tolist(), key=S.__getitem__)
+    k = int(ratios.argmin())
+    return float(ratios[k]), int(positive[k])
 
 
 class QpWorkspace:
@@ -252,8 +253,8 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
     U, b, eps_primal, S = ws._U, ws.b, ws.eps_primal, ws._S
     c = lower_solve(ws._C, g)
 
-    # Phase 1: re-solve on the inherited working set, shedding constraints
-    # whose multipliers come out negative under the new linear term.
+    # Phase 1: re-solve on the inherited working set, shedding rows whose
+    # multipliers turn negative: at most min(m, n) drops, so no change budget.
     v, lam = ws._eqp(c)
     while lam.size:
         k = int(lam.argmin())
@@ -261,21 +262,20 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
             break
         ws._drop(k)
         ws.total_inner_iterations += 1
-        if ws.total_inner_iterations - start_changes > cap:
-            raise CycleLimit("working-set change budget exhausted in warm phase")
         v, lam = ws._eqp(c)
     settled = ws.total_inner_iterations
 
     # Phase 2: dual active-set main loop.  A pass takes one entering row, a
     # priced candidate or a full scan's most violated row; a stale candidate
     # just ends the pass, and only a scan may end the loop.  The step takes
-    # the violation that admitted the row, recomputed only after a drop.
-    zero_steps = 0
+    # the violation that admitted the row, recomputed only after a drop; the
+    # row enters even if a drop left vp <= eps_primal, as v carries acc for it.
+    # No anti-cycling rule: an add steps by t_add = vp / d2 > 0, as vp starts
+    # above eps_primal and a drop stops short of t_add, so each step of length
+    # <= 0 drops one of at most min(m, n) rows; the budget guards roundoff.
     keep = min(_PRICE_K, ws.m) if ws.m * ws.n >= _PRICE_MIN_SIZE else 1
     candidates: list[int] = []
     while ws.m:
-        if cycling := zero_steps >= ws.m + ws.n:
-            candidates.clear()
         if candidates:
             p = candidates.pop()
             vp = float(U[p] @ v - b[p])
@@ -285,12 +285,11 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
             viol = U @ v
             viol -= b
             ws.total_scans += 1
-            # anti-cycling: fall back to the smallest violated index
-            p = int((viol > eps_primal).argmax() if cycling else viol.argmax())
+            p = int(viol.argmax())
             vp = float(viol[p])
             if not vp > eps_primal:
                 break
-            if keep > 1 and not cycling:
+            if keep > 1:
                 top = np.argpartition(viol, -keep)[-keep:]
                 top = top[viol[top] > eps_primal]
                 # most violated last, for pop()
@@ -298,18 +297,17 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
         u = U[p]
         uu = float(u @ u)
         acc = 0.0  # multiplier accumulated for the entering constraint
-        while vp > eps_primal:
+        while True:
             if ws.total_inner_iterations - start_changes > cap:
                 raise CycleLimit("working-set change budget exhausted")
             q = len(S)
             l, d2 = ws._reduce(u, uu)
             r = upper_solve(ws._L, l)
             t_add = vp / d2 if d2 else math.inf
-            t_drop, k = _blocking_row(S, lam, r)
+            t_drop, k = _blocking_row(lam, r)
             t = min(t_add, t_drop)
             if t == math.inf:
                 raise Infeasible(f"constraint {p} is inconsistent with the working set")
-            zero_steps = 0 if t > 0.0 else zero_steps + 1
             if d2:  # a refused row moves v by zero up to roundoff; skip it
                 v = v - t * (u - ws._AS[:q].T @ r)
             lam = lam - t * r

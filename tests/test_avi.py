@@ -589,6 +589,38 @@ def test_solve_dr_daqp_exact_with_nearly_singular_sym_h():
         assert sol.kkt_residual <= 1e-8
 
 
+def test_solve_dr_daqp_survives_singular_corrections(monkeypatch):
+    # two active rows 3e-7 apart in angle: the splitting iteration settles on
+    # both, and every correction on that set raises Singular inside
+    # kkt_active_solve; each failure resets the streak, so the attempts come
+    # stab_count iterations apart and the solve ends inexact without raising
+    import avisolve.avi as avi_module
+
+    kkt = avi_module.kkt_active_solve
+    raised = []
+
+    def counted(p, act, *args):
+        try:
+            return kkt(p, act, *args)
+        except Singular:
+            raised.append(act)
+            raise
+
+    monkeypatch.setattr(avi_module, "kkt_active_solve", counted)
+    H = np.array([[1.0, 0.5], [-0.5, 1.0]])
+    x_star = np.ones(2)
+    a1 = np.array([1.0, 0.0])
+    a2 = np.array([1.0, 3e-7]) / np.linalg.norm([1.0, 3e-7])
+    A = np.vstack([a1, a2])
+    prob = AviProblem(H=H, f=-H @ x_star - 1e6 * (a1 + a2), A=A, b=A @ x_star)
+    sol, trace = solve_dr_daqp(prob)
+    assert sol.status == "Tolerance"
+    assert len(raised) >= 2 and set(raised) == {(0, 1)}
+    ks = [r.k for r in trace if r.newton_attempted and r.active_set == (0, 1)]
+    assert len(ks) == len(raised)
+    assert set(np.diff(ks).tolist()) == {SolverSettings().stab_count}
+
+
 # ---------------------------------------------------------------------------
 # projected-gradient baseline
 

@@ -16,6 +16,7 @@ from avisolve import AviProblem, GenSpec, ParseError, random_avi
 from avisolve.cli import (
     BENCH_COLUMNS,
     EXIT_ASSUMPTION,
+    EXIT_ERROR,
     EXIT_MAXITER,
     EXIT_OK,
     EXIT_PARSE,
@@ -242,6 +243,23 @@ def test_solve_assumption_violation(tmp_path, capsys):
     )
     code, _ = _run(capsys, ["solve", str(path)])
     assert code == EXIT_ASSUMPTION
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_infeasible_problem_exits_error(command, tmp_path, capsys):
+    # x <= -1 and -x <= -1 admit no point
+    path = tmp_path / "infeasible.json"
+    write_problem(
+        path,
+        AviProblem(
+            H=np.array([[1.0]]),
+            f=np.zeros(1),
+            A=np.array([[1.0], [-1.0]]),
+            b=np.array([-1.0, -1.0]),
+        ),
+    )
+    code, _ = _run(capsys, [command, str(path)])
+    assert code == EXIT_ERROR
 
 
 # ---------------------------------------------------------------------------

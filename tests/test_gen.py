@@ -80,8 +80,9 @@ def test_unit_frobenius_summands():
 
 
 def test_assumption_holds_on_grid():
-    # any gamma < 1 leaves symmetric content, so H + H' stays factorable
-    for n in (5, 10, 20):
+    # any gamma < 1 leaves symmetric content, so H + H' stays factorable; at
+    # n = 1 the skew part is zero
+    for n in (1, 5, 10, 20):
         for seed in range(1, 21):
             p = random_avi(GenSpec(n=n, m=0, gamma_asym=0.9, seed=seed))
             factor_spd(p.H + p.H.T)

@@ -36,6 +36,33 @@ def _random_instance(seed, n=2, m=8):
     return hessian, linear, A, b
 
 
+def _degenerate_instance(seed):
+    """Integer QP data full of ties: rows round(2 N(0, 1)), about a fifth of
+    them copies of row 0, b = A x0 for an integer x0 or b = 0, and G the
+    identity or an integer diagonal.  Returns (hessian, g, A, b)."""
+    rng = np.random.default_rng([20, seed])
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(n, 12 * n + 1))
+    A = np.round(2.0 * rng.standard_normal((m, n)))
+    A[rng.random(m) < 0.2] = A[0]
+    b = A @ np.round(rng.standard_normal(n)) if rng.random() < 0.5 else np.zeros(m)
+    hessian = np.eye(n) if rng.random() < 0.5 else np.diag(rng.integers(1, 5, n).astype(float))
+    return hessian, np.round(5.0 * rng.standard_normal(n)), A, b
+
+
+def _kkt_cases():
+    """(hessian, linear, A, b, result) of random QPs solved cold, then of
+    degenerate ones solved warm with g and then with -g."""
+    for seed in range(20):
+        hessian, linear, A, b = _random_instance(seed, n=4, m=12)
+        yield hessian, linear, A, b, qp_solve(qp_setup(hessian, A, b), linear)
+    for seed in range(300):
+        hessian, g, A, b = _degenerate_instance(seed)
+        ws = qp_setup(hessian, A, b)
+        for linear in (g, -g):
+            yield hessian, linear, A, b, qp_solve(ws, linear)
+
+
 def _vertex_qp(n, seed):
     """A QP shaped like the first inner QP of ``solve_dr_daqp`` on
     ``random_avi`` at m = 10 n: unit-norm rows and Hessian sym(H) + |H|_F I.
@@ -115,10 +142,7 @@ def test_matches_enumeration_oracle():
 
 
 def test_kkt_certificate():
-    for seed in range(20):
-        hessian, linear, A, b = _random_instance(seed, n=4, m=12)
-        ws = qp_setup(hessian, A, b)
-        res = qp_solve(ws, linear)
+    for hessian, linear, A, b, res in _kkt_cases():
         stat = hessian @ res.y + linear + A.T @ res.multipliers
         assert np.max(np.abs(stat)) <= 1e-8 * (1.0 + np.max(np.abs(linear)))
         assert np.max(A @ res.y - b) <= 1e-8 * (1.0 + np.max(np.abs(b)))
@@ -138,6 +162,24 @@ def test_warm_start_consistency():
         warm = qp_solve(ws, linear, warm_start=True)
         cold = qp_solve(qp_setup(hessian, A, b), linear, warm_start=False)
         assert np.max(np.abs(warm.y - cold.y)) <= 1e-8
+
+
+def test_row_left_at_its_bound_by_a_drop_still_enters():
+    # row 0 enters first; stepping toward row 1, row 0's multiplier reaches 0
+    # at t = 3 - 4e-16 and row 1's bound at t = 3, so row 0 drops and leaves
+    # row 1 satisfied up to roundoff but carrying multiplier 3: row 1 must
+    # still enter, or y falls back to the unconstrained minimizer
+    hessian = np.diag([1.0, 4.0, 3.0, 4.0])
+    linear = np.array([3.0, 1.0, 3.0, -6.0])
+    A = np.array(
+        [[-3.0, 0.0, 0.0, 1.0], [-1.0, 0.0, -1.0, 2.0], [-2.0, 2.0, -2.0, -2.0], [0.0, 0.0, 2.0, 0.0]]
+    )
+    b = np.zeros(4)
+    res = qp_solve(qp_setup(hessian, A, b), linear)
+    oracle = brute_force_solve(AviProblem(H=hessian, f=linear, A=A, b=b))
+    assert np.max(A @ res.y - b) <= 1e-12
+    assert np.max(np.abs(res.y - oracle.x)) <= 1e-12
+    np.testing.assert_allclose(res.multipliers, [0.0, 3.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_warm_repeat_is_free():

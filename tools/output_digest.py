@@ -22,7 +22,10 @@ The cases, each hashed in a fixed order:
   every fourth with a diagonal Hessian and signed zeros in the linear
   terms) started from a random ``set_working_set``, each solved warm twice
   with one linear term, warm with another and cold; plus 4 QPs large enough
-  for the inner QP's multiple pricing (n = 130, m = 1300).
+  for the inner QP's multiple pricing (n = 130, m = 1300);
+* ``DEGENERATE_CASES`` integer QPs full of ties (n 2-6, m n to 12 n, rows
+  round(2 N(0, 1)) with about a fifth copies of row 0, b = A x0 or 0, G the
+  identity or an integer diagonal), each solved warm with g and then -g.
 
 A solve contributes x, multipliers, kkt_residual, status, iterations and
 every ``TraceRecord`` field; a QP call y, multipliers, active set, changes,
@@ -53,6 +56,7 @@ from avisolve import AviSolveError, GenSpec, qp_setup, qp_solve, random_avi  # n
 
 QP_CASES = 900
 PRICED_CASES = 4
+DEGENERATE_CASES = 1000
 POOL_SEED = 23
 
 
@@ -140,6 +144,17 @@ def _qp_data(rng: np.random.Generator, diagonal: bool):
     return hessian, A, b
 
 
+def _degenerate_qp_data(rng: np.random.Generator):
+    """An integer QP whose steps tie: duplicate rows and integer data."""
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(n, 12 * n + 1))
+    A = np.round(2.0 * rng.standard_normal((m, n)))
+    A[rng.random(m) < 0.2] = A[0]
+    b = A @ np.round(rng.standard_normal(n)) if rng.random() < 0.5 else np.zeros(m)
+    hessian = np.eye(n) if rng.random() < 0.5 else np.diag(rng.integers(1, 5, n).astype(float))
+    return hessian, np.round(5.0 * rng.standard_normal(n)), A, b
+
+
 def _qp_call(ws, g, warm_start=True):
     r = qp_solve(ws, g, warm_start=warm_start)
     return (
@@ -180,6 +195,11 @@ def qp_cases(d: Digest) -> None:
         ws = qp_setup(hessian, p.A / norms[:, None], p.b / norms)
         d.case(lambda: _qp_call(ws, 3.0 * p.f))
         d.case(lambda: _qp_call(ws, 2.0 * p.f))
+    for case in range(DEGENERATE_CASES):
+        hessian, g, A, b = _degenerate_qp_data(np.random.default_rng([20, case]))
+        ws = qp_setup(hessian, A, b)
+        d.case(lambda: _qp_call(ws, g))
+        d.case(lambda: _qp_call(ws, -g))
 
 
 def main() -> int:
