@@ -35,15 +35,15 @@ constraint rows have unit norm.  All iteration-level norms are Euclidean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, Singular
+from .errors import AssumptionViolated, DimensionMismatch, NotPositiveDefinite, Singular
 from .linalg import GeneralFactor, factor_general, factor_spd
-from .qp import QpWorkspace, qp_setup, qp_solve
+from .qp import QpWorkspace, qp_setup, qp_solve, row_indices
 
 __all__ = [
     "STATUS_EXACT",
@@ -141,6 +141,9 @@ class SolverSettings:
             raise ValueError("rho must be positive and finite, or None")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
+        for name in ("max_iter", "stab_count"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.stab_count < 1:
@@ -205,36 +208,19 @@ class TraceRecord:
     active_set: tuple[int, ...] = ()
 
 
-@dataclass
-class IterationTrace:
-    """Per-iteration records; one record per iteration performed."""
-
-    records: list[TraceRecord] = field(default_factory=list)
-
-    def append(self, record: TraceRecord) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, idx):
-        return self.records[idx]
+class IterationTrace(list):
+    """Per-iteration TraceRecords; one record per iteration performed."""
 
     def dists(self) -> np.ndarray:
         """dist_to_ref per iteration, NaN where no reference was supplied."""
-        return np.array(
-            [np.nan if r.dist_to_ref is None else r.dist_to_ref for r in self.records]
-        )
+        return np.array([np.nan if r.dist_to_ref is None else r.dist_to_ref for r in self])
 
     def accepted_merits(self) -> list[float]:
-        return [r.merit for r in self.records if r.newton_accepted]
+        return [r.merit for r in self if r.newton_accepted]
 
     def iterations_to(self, tol: float) -> int | None:
         """Iterations needed for dist_to_ref to reach tol; None if never."""
-        for r in self.records:
+        for r in self:
             if r.dist_to_ref is not None and r.dist_to_ref <= tol:
                 return r.k + 1
         return None
@@ -244,15 +230,24 @@ class IterationTrace:
 # workspace construction and per-iteration pieces
 
 
+def _checked_sym(p: AviProblem) -> np.ndarray:
+    """sym(H); raises AssumptionViolated unless it is positive definite."""
+    h_sym = 0.5 * (p.H + p.H.T)
+    try:
+        factor_spd(h_sym)
+    except NotPositiveDefinite as exc:
+        raise AssumptionViolated(str(exc)) from exc
+    return h_sym
+
+
 def build_dr_workspace(p: AviProblem, s: SolverSettings) -> DrWorkspace:
     """Factor everything the splitting iteration needs.
 
     Checks the standing assumption (sym(H) positive definite) first; a
-    violation surfaces as NotPositiveDefinite.  rho defaults to the
-    Frobenius norm of H.
+    violation raises AssumptionViolated.  rho defaults to the Frobenius
+    norm of H.
     """
-    h_sym = 0.5 * (p.H + p.H.T)
-    factor_spd(h_sym)  # assumption check; raises NotPositiveDefinite
+    h_sym = _checked_sym(p)
     rho = float(s.rho) if s.rho is not None else float(np.linalg.norm(p.H, "fro"))
     eye = np.eye(p.n)
     qp_hessian = rho * eye + h_sym
@@ -319,11 +314,9 @@ def kkt_active_solve(
     Multipliers are returned for the active rows only, in sorted index
     order; callers scatter them into a full vector.
     """
-    indices = sorted(int(i) for i in act)
+    indices = sorted(row_indices(act, p.m))
     if len(set(indices)) != len(indices):
         raise DimensionMismatch("active set contains repeated indices")
-    if indices and (indices[0] < 0 or indices[-1] >= p.m):
-        raise DimensionMismatch("active set index out of range")
     if reduced is None:
         reduced = ReducedKkt(p)
     elif reduced.problem is not p:
@@ -456,20 +449,21 @@ def _equilibrate(p: AviProblem) -> tuple[AviProblem, np.ndarray]:
     return AviProblem(H=p.H, f=p.f, A=p.A / norms[:, None], b=p.b / norms), norms
 
 
-def _newton_candidate(p: AviProblem, act: tuple[int, ...], reduced: ReducedKkt):
-    """Reduced KKT solve for act, or None when the system is unavailable.
+def _correction(p: AviProblem, act: tuple[int, ...], reduced: ReducedKkt, s: SolverSettings):
+    """Reduced KKT solve for act and its exactness check: (candidate, exact).
 
-    Returns (x, full multipliers) on success.  A rank-deficient active set
-    yields None; the caller then falls back to splitting steps.
+    candidate is (x, full multipliers), or None when the active rows are
+    dependent; the caller then falls back to splitting steps.  exact is the
+    candidate if it passes check_solution, else None.
     """
     try:
         x, lam_act = kkt_active_solve(p, act, reduced)
     except Singular:
-        return None
+        return None, None
     lam = np.zeros(p.m)
-    if act:
-        lam[list(act)] = lam_act
-    return x, lam
+    lam[list(act)] = lam_act
+    exact = check_solution(p, x, lam, s.eps_primal, s.eps_dual)
+    return (x, lam), ((x, lam) if exact else None)
 
 
 def _splitting_setup(p: AviProblem, s: SolverSettings):
@@ -485,8 +479,7 @@ def _gradient_setup(p: AviProblem, s: SolverSettings):
     and linear term alpha (H z + f) - z; the projected point is the next
     iterate.
     """
-    h_sym = 0.5 * (p.H + p.H.T)
-    factor_spd(h_sym)  # assumption check; raises NotPositiveDefinite
+    h_sym = _checked_sym(p)
     if s.pg_step is not None:
         alpha = float(s.pg_step)
     else:
@@ -512,7 +505,8 @@ def _iterate(
     the solver's update.  ``setup(p, s)`` returns the solver's QP workspace,
     its linear-term map z -> g and its update (y, z) -> z.  With
     ``corrections`` the active-set stabilization and the near-convergence
-    polish described in :func:`solve_dr_daqp` run as well.
+    polish described in :func:`solve_dr_daqp` run as well; the polish
+    corrects a set not yet tried in this iteration.
 
     The loop runs on a copy of ``user`` with unit-norm rows; the returned
     multipliers and KKT residual belong to ``user``.
@@ -531,57 +525,50 @@ def _iterate(
     for k in range(s.max_iter):
         res = qp_solve(qp, linear_term(z), warm_start=warm_start)
         y, act, lam, qp_iters = res.y, res.active_set, res.multipliers, res.inner_iterations
-        attempted = accepted = False
-        exact = None
-        if corrections:
-            streak = streak + 1 if act == last_act else 0
-            if streak >= s.stab_count:
-                attempted = True
-                candidate = _newton_candidate(p, act, reduced)
-                if candidate is None:
-                    streak = 0
-                elif check_solution(p, *candidate, s.eps_primal, s.eps_dual):
-                    exact = candidate
+        streak = streak + 1 if act == last_act else 0
+        tried = exact = None  # tried: the active set corrected this iteration
+        accepted = False
+        if corrections and streak >= s.stab_count:
+            tried = act
+            candidate, exact = _correction(p, act, reduced, s)
+            if candidate is None:
+                streak = 0
+            elif exact is None:
+                # a second QP at the candidate decides acceptance
+                x_c = candidate[0]
+                res2 = qp_solve(qp, linear_term(x_c), warm_start=warm_start)
+                qp_iters += res2.inner_iterations
+                d = res2.y - x_c
+                new_merit = math.sqrt(d @ d)
+                if new_merit < delta:
+                    delta = new_merit
+                    z, y, act, lam = x_c, res2.y, res2.active_set, res2.multipliers
+                    accepted = True
                 else:
-                    # a second QP at the candidate decides acceptance
-                    x_c = candidate[0]
-                    res2 = qp_solve(qp, linear_term(x_c), warm_start=warm_start)
-                    qp_iters += res2.inner_iterations
-                    d = res2.y - x_c
-                    new_merit = math.sqrt(d @ d)
-                    if new_merit < delta:
-                        delta = new_merit
-                        z, y, act, lam = x_c, res2.y, res2.active_set, res2.multipliers
-                        accepted = True
-                    else:
-                        streak = 0
-                        qp.set_working_set(act)
+                    streak = 0
+                    qp.set_working_set(act)
 
         d = y - z
         merit = math.sqrt(d @ d)
 
-        # near-convergence polish: certify the current active set before
-        # falling back to an inexact exit
-        if corrections and exact is None and merit <= s.eta and (accepted or not attempted):
-            attempted = True
-            candidate = _newton_candidate(p, act, reduced)
-            if candidate is not None and check_solution(
-                p, *candidate, s.eps_primal, s.eps_dual
-            ):
-                exact = candidate
+        # near-convergence polish: certify the current active set, if not yet
+        # tried in this iteration, before falling back to an inexact exit
+        if corrections and exact is None and merit <= s.eta and act != tried:
+            tried = act
+            _, exact = _correction(p, act, reduced, s)
 
         if exact is not None:
             y, lam = exact  # the certified candidate is the solution
         done = exact is not None or merit <= s.eta
+        last_act = act
         if not done:
-            last_act = act
             z = update(y, z)
         trace.append(
             TraceRecord(
                 k=k,
                 merit=merit,
                 active_set_size=len(act),
-                newton_attempted=attempted,
+                newton_attempted=tried is not None,
                 newton_accepted=accepted,
                 inner_qp_iters=qp_iters,
                 dist_to_ref=_distance(y if done else z, reference),
@@ -644,8 +631,9 @@ def solve_dr_daqp(
     pre-attempt active set.
 
     Near-converged iterates get one last chance at an exact exit: when the
-    merit falls below eta, the reduced KKT system for the current set is
-    solved and checked before settling for status Tolerance.
+    merit falls below eta and the current active set is a set not yet tried
+    in this iteration, its reduced KKT system is solved and checked before
+    settling for status Tolerance.
 
     ``warm_start=False`` forces every inner QP to start from an empty
     working set (used for warm-vs-cold comparisons).

@@ -71,6 +71,14 @@ EXIT_ASSUMPTION = 3
 EXIT_MAXITER = 4
 EXIT_TOO_LARGE = 5
 
+# first match wins; NotPositiveDefinite covers AssumptionViolated too
+_EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    (TooLarge, EXIT_TOO_LARGE),
+    (NotPositiveDefinite, EXIT_ASSUMPTION),
+    (AviSolveError, EXIT_ERROR),
+)
+
 TRACE_COLUMNS = [
     "k",
     "merit",
@@ -203,21 +211,13 @@ def _check_writable(path, what: str) -> None:
 
 
 def write_trace(path, trace) -> None:
+    """One row per TraceRecord: flags as 0/1, a missing distance as ''."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(TRACE_COLUMNS)
         for r in trace:
-            writer.writerow(
-                [
-                    r.k,
-                    r.merit,
-                    r.active_set_size,
-                    int(r.newton_attempted),
-                    int(r.newton_accepted),
-                    r.inner_qp_iters,
-                    "" if r.dist_to_ref is None else r.dist_to_ref,
-                ]
-            )
+            row = (getattr(r, name) for name in TRACE_COLUMNS)
+            writer.writerow("" if v is None else int(v) if isinstance(v, bool) else v for v in row)
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +225,8 @@ def write_trace(path, trace) -> None:
 
 
 def _settings_from_args(args) -> SolverSettings:
-    overrides = {}
-    if args.rho is not None:
-        overrides["rho"] = args.rho
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    if args.max_iter is not None:
-        overrides["max_iter"] = args.max_iter
-    if args.stab_count is not None:
-        overrides["stab_count"] = args.stab_count
+    names = ("rho", "eta", "max_iter", "stab_count")
+    overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     try:
         return SolverSettings(**overrides)
     except ValueError as exc:
@@ -334,24 +327,17 @@ def cmd_bench(args) -> int:
                 try:
                     solution, trace = _SOLVERS[name](problem)
                     wall = time.perf_counter() - start
-                    rows.append(
-                        [
-                            n,
-                            m,
-                            args.gamma,
-                            seed,
-                            name,
-                            solution.status,
-                            solution.iterations,
-                            sum(r.inner_qp_iters for r in trace),
-                            sum(1 for r in trace if r.newton_attempted),
-                            sum(1 for r in trace if r.newton_accepted),
-                            wall,
-                        ]
-                    )
+                    result = [
+                        solution.status,
+                        solution.iterations,
+                        sum(r.inner_qp_iters for r in trace),
+                        sum(r.newton_attempted for r in trace),
+                        sum(r.newton_accepted for r in trace),
+                    ]
                 except AviSolveError:
                     wall = time.perf_counter() - start
-                    rows.append([n, m, args.gamma, seed, name, "Error", 0, 0, 0, 0, wall])
+                    result = ["Error", 0, 0, 0, 0]
+                rows.append([n, m, args.gamma, seed, name, *result, wall])
     rows.sort(key=lambda row: (row[0], row[3], row[4]))
     with open(args.output, "w", newline="") as handle:
         writer = csv.writer(handle)
@@ -441,19 +427,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except NotPositiveDefinite as exc:
-        # covers assumption violations raised at problem construction too
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTION
     except AviSolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 def entry_point() -> None:

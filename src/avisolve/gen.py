@@ -29,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .avi import AviProblem
-from .errors import AssumptionViolated, DimensionMismatch, NotPositiveDefinite
+from .errors import AssumptionViolated, DimensionMismatch, NoCertificate, NotPositiveDefinite
 from .linalg import factor_spd
+from .oracle import brute_force_solve
 
 __all__ = [
     "GENERATOR_VERSION",
@@ -56,10 +57,15 @@ class GenSpec:
     regularization: float = 0.0
 
     def __post_init__(self):
+        for name in ("n", "m", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.m < 0:
             raise ValueError("m must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 0.0 <= self.gamma_asym <= 1.0:
             raise ValueError("gamma_asym must lie in [0, 1]")
         if not 0.0 <= self.regularization < np.inf:
@@ -195,9 +201,6 @@ def nondegenerate_instances(
     by the next seed.  Returns a list of (GenSpec, AviProblem, OracleResult)
     triples of length ``count``.  Requires m <= 16 (oracle limit).
     """
-    from .errors import NoCertificate
-    from .oracle import brute_force_solve  # local import; oracle depends on avi
-
     out = []
     seed = start_seed
     while len(out) < count:

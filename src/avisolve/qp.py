@@ -90,6 +90,19 @@ class QpResult:
     inner_iterations: int
 
 
+def row_indices(indices, m: int) -> list[int]:
+    """``indices`` as a list of Python ints, each a constraint row in range(m).
+
+    Any other entry raises DimensionMismatch: an index out of range, or one
+    of a non-integer type, 1.0 included.  numpy integers are accepted.
+    """
+    rows = list(indices)
+    for i in rows:
+        if not isinstance(i, (int, np.integer)) or not 0 <= i < m:
+            raise DimensionMismatch(f"constraint index {i!r} is not a row in range({m})")
+    return [int(i) for i in rows]
+
+
 def _delete_factor_row(L: np.ndarray, k: int) -> np.ndarray:
     """Cholesky factor of L L' with row and column k deleted, in O(q^2).
 
@@ -163,10 +176,7 @@ class QpWorkspace:
         state changes.  Only :func:`qp_solve` counts working-set changes, so
         rebuild work is never charged to ``total_inner_iterations``.
         """
-        indices = [int(i) for i in indices]
-        for i in indices:
-            if not 0 <= i < self.m:
-                raise DimensionMismatch(f"constraint index {i} out of range")
+        indices = row_indices(indices, self.m)
         self._S = []
         self._L = np.zeros((0, 0))
         for i in indices:

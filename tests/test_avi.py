@@ -19,6 +19,7 @@ import pytest
 
 import avisolve
 from avisolve import (
+    AssumptionViolated,
     AviProblem,
     DimensionMismatch,
     GenSpec,
@@ -105,6 +106,11 @@ def test_settings_validation():
     for pg_step in (0.0, np.inf):
         with pytest.raises(ValueError):
             SolverSettings(pg_step=pg_step)
+    # integer fields take integers only; numpy integers included
+    for fields in ({"max_iter": 2.5}, {"max_iter": 10.0}, {"stab_count": 1.5}):
+        with pytest.raises(ValueError):
+            SolverSettings(**fields)
+    assert SolverSettings(max_iter=np.int64(3), stab_count=np.int32(1)).max_iter == 3
 
 
 def test_assumption_violation_rejected():
@@ -118,6 +124,12 @@ def test_assumption_violation_rejected():
     for solver in (solve_dr, solve_dr_daqp, solve_projected_gradient):
         with pytest.raises(NotPositiveDefinite):
             solver(skew)
+    # every solver reports the violation as the problem-level error
+    for solver in (solve_dr, solve_dr_daqp, solve_projected_gradient):
+        with pytest.raises(AssumptionViolated):
+            solver(skew)
+    with pytest.raises(AssumptionViolated):
+        build_dr_workspace(skew, SolverSettings())
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +232,12 @@ def test_kkt_active_solve_index_checks():
         kkt_active_solve(_scalar_problem(), (0, 0))
     with pytest.raises(DimensionMismatch):
         kkt_active_solve(_scalar_problem(), (5,))
+    # a non-integer index is refused, not truncated to a row
+    for act in ((0.7,), (0.0,), (np.float64(0.0),)):
+        with pytest.raises(DimensionMismatch):
+            kkt_active_solve(_scalar_problem(), act)
+    x, lam = kkt_active_solve(_scalar_problem(bound=0.25), (np.int64(0),))
+    assert x[0] == 0.25 and lam.shape == (1,)
 
 
 def _saddle_reference(p, act):

@@ -196,6 +196,40 @@ def test_solve_with_reference(tmp_path, capsys):
     assert dists[-1] <= 1e-5  # converged next to the reference
 
 
+def test_solve_trace_rows_match_library_trace(tmp_path, capsys):
+    # this instance accepts a correction and exits Exact on the next attempt,
+    # so both flag columns read 1 somewhere
+    problem = random_avi(GenSpec(n=3, m=6, gamma_asym=0.5, seed=4))
+    reference = np.array([0.5, -0.25, 1.0])
+    problem_path, ref_path = tmp_path / "p.json", tmp_path / "ref.json"
+    write_problem(problem_path, problem)
+    ref_path.write_text(json.dumps({"x": reference.tolist()}))
+    trace_path = tmp_path / "trace.csv"
+    code, _ = _run(
+        capsys,
+        ["solve", str(problem_path), "--trace", str(trace_path), "--reference", str(ref_path)],
+    )
+    assert code == EXIT_OK
+    sol, trace = avisolve.solve_dr_daqp(problem, reference=reference)
+    assert sol.status == "Exact"
+    assert any(r.newton_accepted for r in trace)
+    with open(trace_path, newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    expected = [
+        [
+            str(r.k),
+            str(r.merit),
+            str(r.active_set_size),
+            str(int(r.newton_attempted)),
+            str(int(r.newton_accepted)),
+            str(r.inner_qp_iters),
+            str(r.dist_to_ref),
+        ]
+        for r in trace
+    ]
+    assert rows == expected
+
+
 def test_solve_rejects_wrong_length_reference(tmp_path, capsys):
     problem_path = tmp_path / "p.json"
     write_problem(problem_path, random_avi(GenSpec(n=2, m=4, gamma_asym=0.5, seed=3)))
@@ -311,6 +345,16 @@ def test_gen_rejects_bad_gamma(tmp_path, capsys):
                  "-o", str(tmp_path / "x.json")]
     )
     assert code == EXIT_PARSE
+
+
+def test_gen_rejects_negative_seed(tmp_path, capsys):
+    out_path = tmp_path / "x.json"
+    code, _ = _run(
+        capsys, ["gen", "--n", "3", "--m", "6", "--gamma", "0.5", "--seed", "-1",
+                 "-o", str(out_path)]
+    )
+    assert code == EXIT_PARSE
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("reg", ["nan", "inf"])

@@ -251,6 +251,12 @@ def test_set_working_set_rejects_bad_index():
     ws = qp_setup(hessian, A, b)
     with pytest.raises(DimensionMismatch):
         ws.set_working_set([99])
+    # a non-integer index is refused, not truncated to a row
+    for indices in ([0.7], [1.0], [-1]):
+        with pytest.raises(DimensionMismatch):
+            ws.set_working_set(indices)
+    ws.set_working_set(np.array([1, 0]))
+    assert ws.working_set == (1, 0)
 
 
 def test_set_working_set_bad_index_leaves_workspace_unchanged():
