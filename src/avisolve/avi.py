@@ -24,7 +24,9 @@ Three solvers are provided:
   complement (:func:`kkt_active_solve`).  If the candidate passes the
   exactness check, the solver stops with the exact solution (status Exact);
   otherwise the candidate is accepted as the new iterate only when it
-  strictly improves the best merit seen at an acceptance so far.
+  strictly improves the best merit seen at an acceptance so far.  On large
+  problems the inner QPs of early iterations are solved inexactly, under a
+  working-set change cap that doubles per iteration.
 * :func:`solve_projected_gradient` is a deliberately simple baseline:
   Euclidean projections of explicit gradient steps.  Never exact.
 
@@ -504,9 +506,9 @@ def _iterate(
     and either exits (merit <= eta, or an exact correction) or moves z by
     the solver's update.  ``setup(p, s)`` returns the solver's QP workspace,
     its linear-term map z -> g and its update (y, z) -> z.  With
-    ``corrections`` the active-set stabilization and the near-convergence
-    polish described in :func:`solve_dr_daqp` run as well; the polish
-    corrects a set not yet tried in this iteration.
+    ``corrections`` the active-set stabilization, the near-convergence
+    polish and the inexact early QPs described in :func:`solve_dr_daqp` run
+    as well; the polish corrects a set not yet tried in this iteration.
 
     The loop runs on a copy of ``user`` with unit-norm rows; the returned
     multipliers and KKT residual belong to ``user``.
@@ -522,9 +524,16 @@ def _iterate(
     delta = np.inf  # best merit at an accepted correction, nonincreasing
     streak = 0
     last_act = None  # sentinel: no attempt can fire at k = 0
+    capping = corrections and warm_start and z0 is None and qp.priced
     for k in range(s.max_iter):
+        # inexact early QPs: the main QP of iteration k stops after
+        # floor(n 2^k / 2) changes, until that reaches the change budget
+        capping = capping and (p.n << k) // 2 < qp.change_budget and k < s.max_iter - 1
+        qp.max_changes = (p.n << k) // 2 if capping else None
         res = qp_solve(qp, linear_term(z), warm_start=warm_start)
+        qp.max_changes = None
         y, act, lam, qp_iters = res.y, res.active_set, res.multipliers, res.inner_iterations
+        capped = res.capped
         streak = streak + 1 if act == last_act else 0
         tried = exact = None  # tried: the active set corrected this iteration
         accepted = False
@@ -543,6 +552,7 @@ def _iterate(
                 if new_merit < delta:
                     delta = new_merit
                     z, y, act, lam = x_c, res2.y, res2.active_set, res2.multipliers
+                    capped = False
                     accepted = True
                 else:
                     streak = 0
@@ -551,15 +561,18 @@ def _iterate(
         d = y - z
         merit = math.sqrt(d @ d)
 
+        # a capped QP's y is no QP solution, so its merit can end nothing
+        converged = merit <= s.eta and not capped
+
         # near-convergence polish: certify the current active set, if not yet
         # tried in this iteration, before falling back to an inexact exit
-        if corrections and exact is None and merit <= s.eta and act != tried:
+        if corrections and exact is None and converged and act != tried:
             tried = act
             _, exact = _correction(p, act, reduced, s)
 
         if exact is not None:
             y, lam = exact  # the certified candidate is the solution
-        done = exact is not None or merit <= s.eta
+        done = exact is not None or converged
         last_act = act
         if not done:
             z = update(y, z)
@@ -580,7 +593,7 @@ def _iterate(
 
     if exact is not None:
         status = STATUS_EXACT
-    elif merit <= s.eta:
+    elif converged:
         status = STATUS_TOLERANCE
     else:
         status = STATUS_MAXITER
@@ -637,6 +650,21 @@ def solve_dr_daqp(
 
     ``warm_start=False`` forces every inner QP to start from an empty
     working set (used for warm-vs-cold comparisons).
+
+    Inexact early QPs: far from the solution an exact inner QP buys little,
+    so the main QP of iteration k stops after floor(n 2^k / 2) working-set
+    changes (``QpWorkspace.max_changes``; ``QpResult.capped``), until that
+    cap reaches the change budget of the CycleLimit test; from then on no QP
+    of the solve is capped.  The cap applies only with ``warm_start``,
+    without a caller's ``z0`` (a start near the solution needs one exact QP)
+    and when m * n reaches the inner QP's pricing size.  The acceptance QP of
+    a correction and the QP of the last allowed iteration are never capped.
+    A capped QP's y solves no QP, so its merit neither ends the solve nor
+    triggers the near-convergence polish; a correction on its active set
+    still runs, and Exact is still certified by check_solution.  Finitely
+    many inexact splitting steps keep the iteration convergent (Eckstein &
+    Bertsekas, Math. Prog. 55, 1992), and an iterate that ends the solve
+    comes from an exact QP or an exact correction.
 
     The iteration runs on a copy of the problem whose constraint rows have
     unit norm, so every tolerance means the same distance on every row

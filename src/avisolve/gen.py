@@ -200,7 +200,12 @@ def nondegenerate_instances(
     and min inactive slack both above 1e-6); degenerate draws are replaced
     by the next seed.  Returns a list of (GenSpec, AviProblem, OracleResult)
     triples of length ``count``.  Requires m <= 16 (oracle limit).
+
+    Raises AssumptionViolated at once for gamma_asym = 1 with
+    regularization = 0: H + H' is then zero on every seed.
     """
+    if gamma_asym == 1.0 and regularization == 0.0:
+        raise AssumptionViolated("gamma_asym = 1 with regularization = 0 makes H + H' zero")
     out = []
     seed = start_seed
     while len(out) < count:

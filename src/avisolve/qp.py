@@ -36,6 +36,15 @@ changes the working set; once the list runs out, the next pass scans.  Any
 violated row keeps the method finite (Goldfarb & Idnani 1983), and a solve
 still ends only on a full scan that finds no violation.
 
+A caller may cap the working-set changes of a call (``QpWorkspace.
+max_changes``, off by default) when an inexact answer will do.  The test
+sits at the top of a phase-2 pass, so a capped call stops right after an
+add, with dual-feasible multipliers; y and the multipliers come from the
+same final re-solve on the working set as always.  The working-set rows
+then hold with equality, but other rows may be violated, and the result
+reads ``capped``.  A warm call without the cap resumes from that working
+set.  :func:`avisolve.avi.solve_dr_daqp` caps the QPs of early iterations.
+
 State per working set: the indices, the rows ``U_S`` and bounds ``b_S`` in
 contiguous blocks, and a lower Cholesky factor L of ``U_S U_S'``.  An add
 extends L by one row.  A drop deletes a column of R = L', and Givens
@@ -82,12 +91,15 @@ class QpResult:
     multipliers : full-length dual vector, zero off the working set.
     active_set : sorted constraint indices in the final working set.
     inner_iterations : working-set changes (adds plus drops) this call.
+    capped : the call stopped at ``QpWorkspace.max_changes`` changes, so y
+        may violate rows outside the working set (module docstring).
     """
 
     y: np.ndarray
     multipliers: np.ndarray
     active_set: tuple[int, ...]
     inner_iterations: int
+    capped: bool
 
 
 def row_indices(indices, m: int) -> list[int]:
@@ -137,7 +149,11 @@ def _blocking_row(lam: np.ndarray, r: np.ndarray) -> tuple[float, int]:
 
 
 class QpWorkspace:
-    """Factored Hessian plus whitened constraint rows plus persistent working set."""
+    """Factored Hessian plus whitened constraint rows plus persistent working set.
+
+    ``max_changes`` (None: no cap) caps the working-set changes of each
+    :func:`qp_solve` call on the workspace; see the module docstring.
+    """
 
     def __init__(self, factor: SpdFactor, A: np.ndarray, b: np.ndarray):
         self.hessian_factor = factor
@@ -161,10 +177,21 @@ class QpWorkspace:
         self._L = np.zeros((0, 0))
         self.total_inner_iterations = 0
         self.total_scans = 0
+        self.max_changes: int | None = None
 
     @property
     def working_set(self) -> tuple[int, ...]:
         return tuple(self._S)
+
+    @property
+    def change_budget(self) -> int:
+        """Working-set changes one call may make before it raises CycleLimit."""
+        return 100 * (self.m + self.n)
+
+    @property
+    def priced(self) -> bool:
+        """Whether scans keep candidates (multiple pricing, module docstring)."""
+        return self.m * self.n >= _PRICE_MIN_SIZE
 
     # -- working-set bookkeeping -------------------------------------------
 
@@ -248,7 +275,12 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
     With ``warm_start`` the solve begins from the working set left by the
     previous call; otherwise the working set is cleared first.  Raises
     Infeasible when the constraints admit no point, and CycleLimit if the
-    number of working-set changes exceeds 100 * (m + n).
+    number of working-set changes exceeds ``ws.change_budget``.
+
+    With ``ws.max_changes`` set, phase 2 stops at the top of the first pass
+    that begins with that many changes made, right after an add, and the
+    result reads ``capped``: its multipliers are dual feasible and the
+    working-set rows hold with equality, but other rows may be violated.
     """
     g = np.asarray(linear_term, dtype=float)
     if g.shape != (ws.n,):
@@ -259,7 +291,8 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
         ws.set_working_set([])
 
     start_changes = ws.total_inner_iterations
-    cap = 100 * (ws.m + ws.n)
+    budget = ws.change_budget
+    stop = math.inf if ws.max_changes is None else start_changes + ws.max_changes
     U, b, eps_primal, S = ws._U, ws.b, ws.eps_primal, ws._S
     c = lower_solve(ws._C, g)
 
@@ -277,15 +310,20 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
 
     # Phase 2: dual active-set main loop.  A pass takes one entering row, a
     # priced candidate or a full scan's most violated row; a stale candidate
-    # just ends the pass, and only a scan may end the loop.  The step takes
+    # just ends the pass, and only a scan that finds no violation ends the
+    # loop, unless the change cap ends it at the top of a pass.  The step takes
     # the violation that admitted the row, recomputed only after a drop; the
     # row enters even if a drop left vp <= eps_primal, as v carries acc for it.
     # No anti-cycling rule: an add steps by t_add = vp / d2 > 0, as vp starts
     # above eps_primal and a drop stops short of t_add, so each step of length
     # <= 0 drops one of at most min(m, n) rows; the budget guards roundoff.
-    keep = min(_PRICE_K, ws.m) if ws.m * ws.n >= _PRICE_MIN_SIZE else 1
+    keep = min(_PRICE_K, ws.m) if ws.priced else 1
     candidates: list[int] = []
+    capped = False
     while ws.m:
+        if ws.total_inner_iterations >= stop:
+            capped = True
+            break
         if candidates:
             p = candidates.pop()
             vp = float(U[p] @ v - b[p])
@@ -308,7 +346,7 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
         uu = float(u @ u)
         acc = 0.0  # multiplier accumulated for the entering constraint
         while True:
-            if ws.total_inner_iterations - start_changes > cap:
+            if ws.total_inner_iterations - start_changes > budget:
                 raise CycleLimit("working-set change budget exhausted")
             q = len(S)
             l, d2 = ws._reduce(u, uu)
@@ -349,4 +387,5 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
         multipliers=multipliers,
         active_set=tuple(sorted(S)),
         inner_iterations=ws.total_inner_iterations - start_changes,
+        capped=capped,
     )

@@ -639,6 +639,50 @@ def test_solve_dr_daqp_survives_singular_corrections(monkeypatch):
     assert set(np.diff(ks).tolist()) == {SolverSettings().stab_count}
 
 
+def _priced_avi(seed):
+    """random_avi at n = 130, m = 1300, above the inner QP's pricing size:
+    solve_dr_daqp caps the main QPs of its early iterations here."""
+    return random_avi(GenSpec(n=130, m=1300, gamma_asym=0.5, seed=seed))
+
+
+def test_solve_dr_daqp_capped_early_qps_end_where_a_restart_at_x_does(monkeypatch):
+    import avisolve.avi as avi_module
+
+    qp = avi_module.qp_solve
+    capped = []
+
+    def recorded(*args, **kwargs):
+        res = qp(*args, **kwargs)
+        capped.append(res.capped)
+        return res
+
+    monkeypatch.setattr(avi_module, "qp_solve", recorded)
+    for seed in range(1, 5):
+        prob = _priced_avi(seed)
+        capped.clear()
+        sol, _ = solve_dr_daqp(prob)
+        assert sol.status == "Exact"
+        assert capped[0]
+        # a caller's z0 turns the cap off: a restart at x* takes one QP
+        capped.clear()
+        again, _ = solve_dr_daqp(prob, z0=sol.x)
+        assert not any(capped)
+        assert again.status == "Exact" and again.iterations == 1
+        assert np.array_equal(again.x, sol.x)
+
+
+def test_solve_dr_daqp_capped_early_qps_leave_no_infeasible_answer():
+    # the QP of the last allowed iteration is never capped, and a capped QP
+    # cannot end the solve by its merit, so the returned x is feasible
+    settings = [SolverSettings(max_iter=k) for k in range(1, 5)] + [SolverSettings(eta=1e3)]
+    for seed in range(1, 5):
+        prob = _priced_avi(seed)
+        norms = np.linalg.norm(prob.A, axis=1)
+        for s in settings:
+            sol, _ = solve_dr_daqp(prob, s)
+            assert np.max((prob.A @ sol.x - prob.b) / norms) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # projected-gradient baseline
 

@@ -209,3 +209,9 @@ def test_nondegenerate_instances():
     for spec, prob, orc in triples:
         assert orc.certified and orc.strictly_complementary
         assert prob.n == 3 and prob.m == 6
+
+
+def test_nondegenerate_instances_rejects_a_purely_skew_family(deadline):
+    # H + H' is zero on every seed, so the seed walk could never end
+    with deadline(5.0), pytest.raises(AssumptionViolated):
+        nondegenerate_instances(3, 6, 1.0, 1)

@@ -511,3 +511,42 @@ def test_multiple_pricing_finds_the_unpriced_solution(monkeypatch):
         assert np.max(np.abs(res.y - ref.y)) <= 1e-10
         assert np.max(A @ res.y - b) <= ws.eps_primal
 
+
+
+def test_change_cap_stops_after_an_add_with_dual_feasible_multipliers():
+    for seed in range(2):
+        hessian, linear, A, b = _vertex_qp(130, seed)
+        ref = qp_solve(qp_setup(hessian, A, b), linear)
+        assert not ref.capped
+        for cap in (1, 40, 150):
+            ws = qp_setup(hessian, A, b)
+            ws.max_changes = cap
+            res = qp_solve(ws, linear)
+            assert res.capped
+            assert cap <= res.inner_iterations < ref.inner_iterations
+            # dual feasible, and the working-set rows hold with equality
+            S = list(res.active_set)
+            assert res.multipliers.min() >= -ws.eps_dual
+            assert np.max(np.abs(A[S] @ res.y - b[S])) <= 1e-10
+            # an uncapped warm call then finishes the cold call's solve
+            ws.max_changes = None
+            warm = qp_solve(ws, linear)
+            assert not warm.capped
+            assert warm.active_set == ref.active_set
+            assert np.max(np.abs(warm.y - ref.y)) <= 1e-12
+
+
+def test_change_cap_above_the_call_changes_leaves_the_result_unchanged():
+    hessian, linear, A, b = _vertex_qp(130, 0)
+
+    def call(cap):
+        ws = qp_setup(hessian, A, b)
+        ws.max_changes = cap
+        return qp_solve(ws, linear), ws.total_scans
+
+    ref, ref_scans = call(None)
+    res, scans = call(ref.inner_iterations + 1)
+    assert not res.capped and scans == ref_scans
+    assert (res.active_set, res.inner_iterations) == (ref.active_set, ref.inner_iterations)
+    assert res.y.tobytes() == ref.y.tobytes()
+    assert res.multipliers.tobytes() == ref.multipliers.tobytes()

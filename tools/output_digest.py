@@ -6,24 +6,26 @@ run the script in both trees and compare the last line it prints.
 
     python3 tools/output_digest.py
 
-It prints the number of cases, then the digest.
+It prints one line per group of cases (name, case count, SHA-256 of the
+group alone), then the number of cases, then the digest over all of them.
+A change that moves only some outputs shows which groups it moves.
 
 The cases, each hashed in a fixed order:
 
-* golden instances (``random_avi``, m = 10 n, gamma 0.5, n in {10, 30},
-  seeds 0-19) under ``solve_dr_daqp``, ``solve_dr``,
+* ``golden``: golden instances (``random_avi``, m = 10 n, gamma 0.5, n in
+  {10, 30}, seeds 0-19) under ``solve_dr_daqp``, ``solve_dr``,
   ``solve_dr_daqp(warm_start=False)`` and, at n = 10,
   ``solve_projected_gradient``;
-* the benchmark pools of run seed ``POOL_SEED`` (perfbench/workloads.py): the
-  first 4 ``vertex``, the first 24 ``game`` and all 128 ``small`` instances,
-  under ``solve_dr_daqp``;
-* direct ``qp_setup``/``qp_solve`` calls: 900 small QPs (n 1-8, m 0 to
-  4 n + 2, with zero and duplicate rows, some infeasible, m = 0 among them;
+* ``vertex``, ``game``, ``small``: the benchmark pools of run seed
+  ``POOL_SEED`` (perfbench/workloads.py), the first 4 ``vertex``, the first
+  24 ``game`` and all 128 ``small`` instances, under ``solve_dr_daqp``;
+* ``qp``, direct ``qp_setup``/``qp_solve`` calls: 900 small QPs (n 1-8, m 0
+  to 4 n + 2, with zero and duplicate rows, some infeasible, m = 0 among them;
   every fourth with a diagonal Hessian and signed zeros in the linear
   terms) started from a random ``set_working_set``, each solved warm twice
   with one linear term, warm with another and cold; plus 4 QPs large enough
-  for the inner QP's multiple pricing (n = 130, m = 1300);
-* ``DEGENERATE_CASES`` integer QPs full of ties (n 2-6, m n to 12 n, rows
+  for the inner QP's multiple pricing (n = 130, m = 1300); plus
+  ``DEGENERATE_CASES`` integer QPs full of ties (n 2-6, m n to 12 n, rows
   round(2 N(0, 1)) with about a fifth copies of row 0, b = A x0 or 0, G the
   identity or an integer diagonal), each solved warm with g and then -g.
 
@@ -61,23 +63,36 @@ POOL_SEED = 23
 
 
 class Digest:
-    """SHA-256 over a stream of values; ``count`` counts finished cases."""
+    """SHA-256 over a stream of values; ``count`` counts finished cases.
+
+    ``group(name)`` starts a named group: values fed from then on also go
+    to a SHA-256 of that group alone, and its cases count in ``groups``.
+    """
 
     def __init__(self):
         self._h = hashlib.sha256()
         self.count = 0
+        self.groups: dict[str, list] = {}  # name -> [SHA-256, case count]
+        self._group = [hashlib.sha256(), 0]
+
+    def group(self, name: str) -> None:
+        self._group = self.groups[name] = [hashlib.sha256(), 0]
+
+    def _update(self, data: bytes) -> None:
+        self._h.update(data)
+        self._group[0].update(data)
 
     def feed(self, *values) -> None:
         for v in values:
             if isinstance(v, np.ndarray):
-                self._h.update(f"a{v.dtype.str}{v.shape}".encode())
-                self._h.update(np.ascontiguousarray(v).tobytes())
+                self._update(f"a{v.dtype.str}{v.shape}".encode())
+                self._update(np.ascontiguousarray(v).tobytes())
             elif isinstance(v, (tuple, list)):
-                self._h.update(f"t{len(v)}".encode())
+                self._update(f"t{len(v)}".encode())
                 self.feed(*v)
             else:
                 # repr of a float is exact: it reads back to the same bits
-                self._h.update(f"{type(v).__name__}:{v!r};".encode())
+                self._update(f"{type(v).__name__}:{v!r};".encode())
 
     def case(self, run) -> None:
         """Hash what ``run()`` returns, or the type and message it raises."""
@@ -86,6 +101,7 @@ class Digest:
         except AviSolveError as exc:
             self.feed("raise", type(exc).__name__, str(exc))
         self.count += 1
+        self._group[1] += 1
 
     def hexdigest(self) -> str:
         return self._h.hexdigest()
@@ -105,6 +121,7 @@ def _solve(solver, problem, **kwargs):
 
 
 def solver_cases(d: Digest) -> None:
+    d.group("golden")
     for n in (10, 30):
         for s in range(20):
             prob = random_avi(GenSpec(n=n, m=10 * n, gamma_asym=0.5, seed=s))
@@ -115,6 +132,7 @@ def solver_cases(d: Digest) -> None:
                 d.case(lambda: _solve(avisolve.solve_projected_gradient, prob))
     for name, count in (("vertex", 4), ("game", 24), ("small", 128)):
         build = workloads.WORKLOADS[name].build
+        d.group(name)
         for index in range(count):
             prob = build(POOL_SEED, index)
             d.case(lambda: _solve(avisolve.solve_dr_daqp, prob))
@@ -169,6 +187,7 @@ def _qp_call(ws, g, warm_start=True):
 
 
 def qp_cases(d: Digest) -> None:
+    d.group("qp")
     for case in range(QP_CASES):
         rng = np.random.default_rng([19, case])
         diagonal = case % 4 == 0
@@ -206,6 +225,8 @@ def main() -> int:
     d = Digest()
     solver_cases(d)
     qp_cases(d)
+    for name, (h, count) in d.groups.items():
+        print(f"{name}: {count} cases {h.hexdigest()}")
     print(f"{d.count} cases")
     print(d.hexdigest())
     return 0
