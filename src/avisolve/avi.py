@@ -144,7 +144,8 @@ class SolverSettings:
         if not self.eta > 0:
             raise ValueError("eta must be positive")
         for name in ("max_iter", "stab_count"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")

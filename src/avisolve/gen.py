@@ -58,7 +58,8 @@ class GenSpec:
 
     def __post_init__(self):
         for name in ("n", "m", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
         if self.n < 1:
             raise ValueError("n must be at least 1")

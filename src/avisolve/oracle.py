@@ -13,9 +13,11 @@ and therefore gated at m <= 16; it exists as ground truth for tests and for
 the command-line ``oracle`` command, not as a production solver.
 
 The enumeration is deliberately independent of the main solver's KKT path:
-systems are assembled in batches per subset size and solved with numpy's
-batched LU, so agreement between oracle and solver is a genuine double
-check rather than the same code run twice.
+the subsets of one size travel as one index array, their systems are
+assembled in one batch and solved with numpy's batched LU, and primal and
+dual feasibility are tested by masks over the batch, so agreement between
+oracle and solver is a genuine double check rather than the same code run
+twice.
 """
 
 from __future__ import annotations
@@ -56,44 +58,39 @@ class OracleResult:
     certified: bool
 
 
-def _independent_subsets(A: np.ndarray, size: int, row_norms: np.ndarray):
-    """All index subsets of the given size whose constraint rows are
-    linearly independent, decided by a batched QR projection-residual test."""
-    m = A.shape[0]
-    subsets = list(combinations(range(m), size))
-    if size == 0 or not subsets:
-        return subsets
-    idx = np.array(subsets)  # (num, size)
-    stacked = A[idx]  # (num, size, n)
+def _independent_subsets(A: np.ndarray, size: int, row_norms: np.ndarray) -> np.ndarray:
+    """The index subsets of the given size whose constraint rows are linearly
+    independent, decided by a batched QR projection-residual test.
+
+    Returns an int array of shape (num, size), one subset per row in
+    lexicographic order.
+    """
+    idx = np.array(list(combinations(range(A.shape[0]), size)), dtype=np.intp)
     # QR of the transposed row stacks: |R_jj| is the norm of row j's
     # component orthogonal to the span of the previous rows
-    r = np.linalg.qr(stacked.transpose(0, 2, 1), mode="r")
+    r = np.linalg.qr(A[idx].transpose(0, 2, 1), mode="r")
     diag = np.abs(np.diagonal(r, axis1=1, axis2=2))  # (num, size)
     floor = _RANK_REL * np.maximum(row_norms[idx], 1e-300)
-    keep = np.all(diag > floor, axis=1)
-    return [subsets[i] for i in np.flatnonzero(keep)]
+    return idx[np.all(diag > floor, axis=1)]
 
 
-def _solve_batch(p: AviProblem, subsets: list) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the KKT equality system for every subset of one common size.
+def _solve_batch(p: AviProblem, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the KKT equality system for every subset, one per row of idx.
 
     Returns (x_batch, lam_batch) with shapes (num, n) and (num, size).
     Rows that fail to solve (singular despite the rank filter) come back as
     NaN and are discarded by the caller.
     """
     n = p.n
-    size = len(subsets[0])
-    num = len(subsets)
+    num, size = idx.shape
+    rows = p.A[idx]  # (num, size, n)
     K = np.zeros((num, n + size, n + size))
     K[:, :n, :n] = p.H
+    K[:, :n, n:] = rows.transpose(0, 2, 1)
+    K[:, n:, :n] = rows
     rhs = np.zeros((num, n + size))
     rhs[:, :n] = -p.f
-    if size:
-        idx = np.array(subsets)
-        rows = p.A[idx]  # (num, size, n)
-        K[:, :n, n:] = rows.transpose(0, 2, 1)
-        K[:, n:, :n] = rows
-        rhs[:, n:] = p.b[idx]
+    rhs[:, n:] = p.b[idx]
     try:
         sol = np.linalg.solve(K, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -121,10 +118,10 @@ def brute_force_solve(p: AviProblem) -> OracleResult:
         raise NoCertificate("no active set yields a feasible primal-dual candidate")
     # min keeps the first of equal residuals
     active, x, lam_full = min(candidates, key=lambda c: kkt_residual(p, c[1], c[2]))
-    inactive = [i for i in range(p.m) if i not in active]
-    slack = p.b - p.A @ x if p.m else np.zeros(0)
-    min_active_mult = float(np.min(lam_full[list(active)])) if active else np.inf
-    min_inactive_slack = float(np.min(slack[inactive])) if inactive else np.inf
+    on = np.zeros(p.m, dtype=bool)
+    on[list(active)] = True
+    min_active_mult = float(np.min(lam_full[on], initial=np.inf))
+    min_inactive_slack = float(np.min((p.b - p.A @ x)[~on], initial=np.inf))
     strict = min_active_mult > _STRICT_MARGIN and min_inactive_slack > _STRICT_MARGIN
     certified = check_solution(p, x, lam_full, _FEAS_TOL, _FEAS_TOL)
     return OracleResult(
@@ -145,24 +142,19 @@ def certified_candidates(p: AviProblem) -> list[tuple[tuple[int, ...], np.ndarra
     """
     if p.m > _MAX_CONSTRAINTS:
         raise TooLarge(f"oracle limited to m <= {_MAX_CONSTRAINTS}, got m = {p.m}")
-    row_norms = np.linalg.norm(p.A, axis=1) if p.m else np.zeros(0)
+    row_norms = np.linalg.norm(p.A, axis=1)
     passing = []
-    for size in range(0, min(p.n, p.m) + 1):
-        subsets = _independent_subsets(p.A, size, row_norms)
-        if not subsets:
-            continue
-        xs, lams = _solve_batch(p, subsets)
-        for i, subset in enumerate(subsets):
-            if not np.all(np.isfinite(xs[i])):
-                continue
-            if size and not np.all(np.isfinite(lams[i])):
-                continue
-            if p.m and np.min(p.b - p.A @ xs[i]) < -_FEAS_TOL:
-                continue
-            if size and np.min(lams[i]) < -_FEAS_TOL:
-                continue
-            lam_full = np.zeros(p.m)
-            if size:
-                lam_full[list(subset)] = lams[i]
-            passing.append((tuple(subset), xs[i], lam_full))
+    for size in range(min(p.n, p.m) + 1):
+        idx = _independent_subsets(p.A, size, row_norms)
+        xs, lams = _solve_batch(p, idx)
+        # slacks only of finite rows: an inf in x would make inf - inf
+        ok = np.all(np.isfinite(xs), axis=1) & np.all(np.isfinite(lams), axis=1)
+        slack = p.b - xs[ok] @ p.A.T
+        ok[ok] = (np.min(slack, axis=1, initial=np.inf) >= -_FEAS_TOL) & (
+            np.min(lams[ok], axis=1, initial=np.inf) >= -_FEAS_TOL
+        )
+        lam_full = np.zeros((np.count_nonzero(ok), p.m))
+        np.put_along_axis(lam_full, idx[ok], lams[ok], axis=1)
+        # subsets as tuples of Python ints, which print and serialize plainly
+        passing += zip(map(tuple, idx[ok].tolist()), xs[ok], lam_full)
     return passing

@@ -106,11 +106,11 @@ def row_indices(indices, m: int) -> list[int]:
     """``indices`` as a list of Python ints, each a constraint row in range(m).
 
     Any other entry raises DimensionMismatch: an index out of range, or one
-    of a non-integer type, 1.0 included.  numpy integers are accepted.
+    of a non-integer type, 1.0 and True included.  numpy integers pass.
     """
     rows = list(indices)
     for i in rows:
-        if not isinstance(i, (int, np.integer)) or not 0 <= i < m:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < m:
             raise DimensionMismatch(f"constraint index {i!r} is not a row in range({m})")
     return [int(i) for i in rows]
 

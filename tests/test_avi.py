@@ -106,8 +106,14 @@ def test_settings_validation():
     for pg_step in (0.0, np.inf):
         with pytest.raises(ValueError):
             SolverSettings(pg_step=pg_step)
-    # integer fields take integers only; numpy integers included
-    for fields in ({"max_iter": 2.5}, {"max_iter": 10.0}, {"stab_count": 1.5}):
+    # integer fields take integers only, not bools; numpy integers included
+    for fields in (
+        {"max_iter": 2.5},
+        {"max_iter": 10.0},
+        {"stab_count": 1.5},
+        {"max_iter": True},
+        {"stab_count": True},
+    ):
         with pytest.raises(ValueError):
             SolverSettings(**fields)
     assert SolverSettings(max_iter=np.int64(3), stab_count=np.int32(1)).max_iter == 3
@@ -232,8 +238,8 @@ def test_kkt_active_solve_index_checks():
         kkt_active_solve(_scalar_problem(), (0, 0))
     with pytest.raises(DimensionMismatch):
         kkt_active_solve(_scalar_problem(), (5,))
-    # a non-integer index is refused, not truncated to a row
-    for act in ((0.7,), (0.0,), (np.float64(0.0),)):
+    # a non-integer index, a bool included, is refused, not truncated to a row
+    for act in ((0.7,), (0.0,), (np.float64(0.0),), (False,)):
         with pytest.raises(DimensionMismatch):
             kkt_active_solve(_scalar_problem(), act)
     x, lam = kkt_active_solve(_scalar_problem(bound=0.25), (np.int64(0),))

@@ -130,6 +130,40 @@ def test_read_reference(tmp_path):
         read_reference(ref)
 
 
+_DOC = {"n": 2, "m": 0, "H": [[1.0, 0.0], [0.0, 1.0]], "f": [0.0, 0.0], "A": [], "b": []}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [_DOC],  # an array, not an object
+        {**_DOC, "H": [[1.0, 0.0], [1.0]]},  # ragged H
+        {**_DOC, "metadata": [1]},  # metadata that is not an object
+    ],
+    ids=["array", "ragged-H", "metadata"],
+)
+def test_malformed_problem_file_exits_parse(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        read_problem(path)
+    code, out = _run(capsys, ["solve", str(path)])
+    assert code == EXIT_PARSE
+    assert out == ""
+
+
+@pytest.mark.parametrize("text", [None, '{"x": ["a"]}'], ids=["missing", "string-x"])
+def test_unreadable_reference_exits_parse(text, tmp_path, capsys):
+    ref = tmp_path / "ref.json"
+    if text is not None:
+        ref.write_text(text)
+    with pytest.raises(ParseError):
+        read_reference(ref)
+    code, out = _run(capsys, ["solve", str(_scalar_file(tmp_path)), "--reference", str(ref)])
+    assert code == EXIT_PARSE
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -438,6 +472,43 @@ def test_bench_rejects_bad_gamma(tmp_path, capsys):
     )
     assert code == EXIT_PARSE
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ("--sizes", "1,x"),
+        ("--sizes", ","),
+        ("--sizes", "0"),
+        ("--instances", "0"),
+        ("--solvers", ","),
+    ],
+)
+def test_bench_rejects_bad_sizes_counts_and_lists(option, tmp_path, capsys):
+    out_csv = tmp_path / "b.csv"
+    args = {"--sizes": "2", "--instances": "1", "--solvers": "dr-daqp", **dict([option])}
+    code, out = _run(capsys, ["bench", *sum(args.items(), ()), "-o", str(out_csv)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert not out_csv.exists()
+
+
+def test_bench_writes_error_rows_when_the_generator_refuses(tmp_path, capsys):
+    # gamma = 1 asks for a purely skew H, which the generator refuses
+    out_csv = tmp_path / "b.csv"
+    code, _ = _run(
+        capsys, ["bench", "--sizes", "3", "--instances", "2", "--gamma", "1",
+                 "--solvers", "dr-daqp,pg", "-o", str(out_csv)]
+    )
+    assert code == EXIT_OK
+    with open(out_csv, newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert [(r[3], r[4], r[5]) for r in rows] == [
+        ("1", "dr-daqp", "Error"),
+        ("1", "pg", "Error"),
+        ("2", "dr-daqp", "Error"),
+        ("2", "pg", "Error"),
+    ]
 
 
 def test_unwritable_output_paths_fail_before_any_work(tmp_path, capsys):

@@ -30,8 +30,16 @@ def test_spec_validation():
     for reg in (-0.1, np.nan, np.inf):
         with pytest.raises(ValueError):
             GenSpec(n=3, m=5, gamma_asym=0.5, seed=1, regularization=reg)
-    # sizes and the seed take integers only; a negative seed has no stream
-    for fields in ({"n": 2.5}, {"n": 3.0}, {"m": 5.5}, {"seed": -1}, {"seed": 1.5}):
+    # sizes and the seed take integers only, not bools; a negative seed has no stream
+    for fields in (
+        {"n": 2.5},
+        {"n": 3.0},
+        {"m": 5.5},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"n": True},
+        {"seed": False},
+    ):
         with pytest.raises(ValueError):
             GenSpec(**{"n": 3, "m": 5, "gamma_asym": 0.5, "seed": 1, **fields})
     spec = GenSpec(n=np.int64(3), m=np.int64(5), gamma_asym=0.5, seed=np.uint32(1))

@@ -121,3 +121,55 @@ def test_dependent_rows_skipped():
     res = brute_force_solve(p)
     np.testing.assert_allclose(res.x, [0.25], atol=1e-12)
     assert len(res.active_set) == 1
+
+
+def test_singular_saddle_matrix_falls_back_to_single_solves():
+    # H = 0 makes the size-0 system singular: the batched solve raises and
+    # the subsets are solved one by one, the singular one left out
+    p = AviProblem(H=np.array([[0.0]]), f=np.array([-1.0]), A=np.array([[1.0]]), b=np.array([1.0]))
+    res = brute_force_solve(p)
+    assert res.x.tolist() == [1.0]
+    assert res.multipliers.tolist() == [1.0]
+    assert res.active_set == (0,)
+    assert res.certified
+    assert [subset for subset, _, _ in certified_candidates(p)] == [(0,)]
+
+
+def _integer_avi(rng):
+    """A well-posed AVI with small integer data, H = M M' + I + skew.
+
+    Its polyhedron holds an integer point; row 1 repeats row 0 and row 2 is
+    zero with b_2 >= 0 when m allows, and m = 0 is drawn about one time in nine.
+    """
+    n, m = int(rng.integers(1, 5)), int(rng.integers(0, 9))
+    M, S = rng.integers(-2, 3, (2, n, n)).astype(float)
+    A = rng.integers(-2, 3, (m, n)).astype(float)
+    A[1:2] = A[:1]
+    A[2:3] = 0.0
+    b = A @ rng.integers(-2, 3, n) + rng.integers(0, 3, m)
+    return AviProblem(
+        H=M @ M.T + np.eye(n) + S - S.T, f=rng.integers(-3, 4, n).astype(float), A=A, b=b
+    )
+
+
+def test_candidates_on_degenerate_integer_problems():
+    # every candidate is a finite feasible KKT point of independent rows,
+    # in size-then-lexicographic order, and the winner is one of them
+    unconstrained = 0
+    for case in range(200):
+        p = _integer_avi(np.random.default_rng([23, case]))
+        candidates = certified_candidates(p)
+        for subset, x, lam in candidates:
+            assert all(type(i) is int for i in subset)
+            assert list(subset) == sorted(set(subset))
+            assert np.all(np.isfinite(x))
+            assert np.min(p.b - p.A @ x, initial=np.inf) >= -1e-9
+            assert np.min(lam, initial=np.inf) >= -1e-9
+            assert not np.any(np.delete(lam, subset))
+            assert np.linalg.matrix_rank(p.A[list(subset)]) == len(subset)
+        keys = [(len(s), s) for s, _, _ in candidates]
+        assert keys == sorted(keys)
+        res = brute_force_solve(p)
+        assert any(s == res.active_set and np.array_equal(x, res.x) for s, x, _ in candidates)
+        unconstrained += p.m == 0
+    assert unconstrained >= 10

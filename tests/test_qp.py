@@ -251,8 +251,8 @@ def test_set_working_set_rejects_bad_index():
     ws = qp_setup(hessian, A, b)
     with pytest.raises(DimensionMismatch):
         ws.set_working_set([99])
-    # a non-integer index is refused, not truncated to a row
-    for indices in ([0.7], [1.0], [-1]):
+    # a non-integer index, a bool included, is refused, not truncated to a row
+    for indices in ([0.7], [1.0], [-1], [True]):
         with pytest.raises(DimensionMismatch):
             ws.set_working_set(indices)
     ws.set_working_set(np.array([1, 0]))

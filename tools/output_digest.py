@@ -27,14 +27,21 @@ The cases, each hashed in a fixed order:
   for the inner QP's multiple pricing (n = 130, m = 1300); plus
   ``DEGENERATE_CASES`` integer QPs full of ties (n 2-6, m n to 12 n, rows
   round(2 N(0, 1)) with about a fifth copies of row 0, b = A x0 or 0, G the
-  identity or an integer diagonal), each solved warm with g and then -g.
+  identity or an integer diagonal), each solved warm with g and then -g;
+* ``oracle``, ``certified_candidates`` and then ``brute_force_solve`` on
+  ``random_avi`` instances (n 2-6, m = 2 n, gamma 0.5, seeds 0-9), on
+  ``ORACLE_INTEGER_CASES`` well-posed integer AVIs (n 1-4, m 0-8, a
+  repeated row and a zero row with b >= 0; the draws of
+  tests/test_oracle.py) and on one problem whose size-0 saddle matrix is
+  singular, which takes the oracle's one-by-one fallback.
 
 A solve contributes x, multipliers, kkt_residual, status, iterations and
 every ``TraceRecord`` field; a QP call y, multipliers, active set, changes,
-scans and working set; a raise its error type and message.  Arrays are
-hashed as raw bytes, so even the sign of a zero counts.  The package is
-imported from ``src/`` next to this script, and BLAS is pinned to one
-thread before numpy loads.
+scans and working set; an oracle call every candidate's subset, x and
+multipliers, or every ``OracleResult`` field; a raise its error type and
+message.  Arrays are hashed as raw bytes, so even the sign of a zero
+counts.  The package is imported from ``src/`` next to this script, and
+BLAS is pinned to one thread before numpy loads.
 """
 
 import os
@@ -54,11 +61,21 @@ import numpy as np  # noqa: E402
 
 import avisolve  # noqa: E402
 import workloads  # noqa: E402
-from avisolve import AviSolveError, GenSpec, qp_setup, qp_solve, random_avi  # noqa: E402
+from avisolve import (  # noqa: E402
+    AviProblem,
+    AviSolveError,
+    GenSpec,
+    brute_force_solve,
+    certified_candidates,
+    qp_setup,
+    qp_solve,
+    random_avi,
+)
 
 QP_CASES = 900
 PRICED_CASES = 4
 DEGENERATE_CASES = 1000
+ORACLE_INTEGER_CASES = 200
 POOL_SEED = 23
 
 
@@ -221,10 +238,42 @@ def qp_cases(d: Digest) -> None:
         d.case(lambda: _qp_call(ws, -g))
 
 
+def _integer_avi(rng: np.random.Generator) -> AviProblem:
+    """A well-posed AVI with small integer data, H = M M' + I + skew.
+
+    Its polyhedron holds an integer point; row 1 repeats row 0 and row 2 is
+    zero with b_2 >= 0 when m allows, and m = 0 is drawn about one time in nine.
+    """
+    n, m = int(rng.integers(1, 5)), int(rng.integers(0, 9))
+    M, S = rng.integers(-2, 3, (2, n, n)).astype(float)
+    A = rng.integers(-2, 3, (m, n)).astype(float)
+    A[1:2] = A[:1]
+    A[2:3] = 0.0
+    b = A @ rng.integers(-2, 3, n) + rng.integers(0, 3, m)
+    return AviProblem(
+        H=M @ M.T + np.eye(n) + S - S.T, f=rng.integers(-3, 4, n).astype(float), A=A, b=b
+    )
+
+
+def oracle_cases(d: Digest) -> None:
+    d.group("oracle")
+    problems = [
+        random_avi(GenSpec(n=n, m=2 * n, gamma_asym=0.5, seed=s))
+        for n in range(2, 7)
+        for s in range(10)
+    ]
+    problems += [_integer_avi(np.random.default_rng([23, c])) for c in range(ORACLE_INTEGER_CASES)]
+    problems.append(AviProblem(H=np.zeros((1, 1)), f=-np.ones(1), A=np.ones((1, 1)), b=np.ones(1)))
+    for p in problems:
+        d.case(lambda: certified_candidates(p))
+        d.case(lambda: dataclasses.astuple(brute_force_solve(p)))
+
+
 def main() -> int:
     d = Digest()
     solver_cases(d)
     qp_cases(d)
+    oracle_cases(d)
     for name, (h, count) in d.groups.items():
         print(f"{name}: {count} cases {h.hexdigest()}")
     print(f"{d.count} cases")
