@@ -23,7 +23,8 @@ Three solvers are provided:
   is solved directly, through one LU factor of H per solve and a q x q Schur
   complement (:func:`kkt_active_solve`).  If the candidate passes the
   exactness check, the solver stops with the exact solution (status Exact);
-  otherwise the candidate is accepted as the new iterate only when it
+  otherwise a short primal-dual active-set walk from it may still find one,
+  and failing that the candidate is accepted as the new iterate only when it
   strictly improves the best merit seen at an acceptance so far.  On large
   problems the inner QPs of early iterations are solved inexactly, under a
   working-set change cap that doubles per iteration.
@@ -198,7 +199,11 @@ class TraceRecord:
     the updated splitting iterate z for the splitting solvers (the object
     the convergence guarantee speaks about) and the stepped iterate for the
     projected-gradient baseline; on a terminating iteration it is the
-    distance of the returned solution estimate.
+    distance of the returned solution estimate.  active_set is the inner
+    QP's, except on an Exact exit, where it is the returned solution's.
+    chain_steps counts the reduced KKT solves of the iteration's active-set
+    walks (see :func:`solve_dr_daqp`); the corrections themselves add one
+    each.
     """
 
     k: int
@@ -209,6 +214,7 @@ class TraceRecord:
     inner_qp_iters: int
     dist_to_ref: float | None = None
     active_set: tuple[int, ...] = ()
+    chain_steps: int = 0
 
 
 class IterationTrace(list):
@@ -452,21 +458,41 @@ def _equilibrate(p: AviProblem) -> tuple[AviProblem, np.ndarray]:
     return AviProblem(H=p.H, f=p.f, A=p.A / norms[:, None], b=p.b / norms), norms
 
 
-def _correction(p: AviProblem, act: tuple[int, ...], reduced: ReducedKkt, s: SolverSettings):
-    """Reduced KKT solve for act and its exactness check: (candidate, exact).
+# reduced solves of the active-set walk that follows a correction that failed
+_CHAIN_STEPS = 5
 
-    candidate is (x, full multipliers), or None when the active rows are
-    dependent; the caller then falls back to splitting steps.  exact is the
-    candidate if it passes check_solution, else None.
+
+def _correction(p: AviProblem, act: tuple[int, ...], reduced: ReducedKkt, s: SolverSettings):
+    """Reduced KKT solve for act and the active-set walk from it.
+
+    Returns (candidate, exact, steps).  candidate is (x, full multipliers)
+    for act, or None when its rows are dependent; only it goes to the
+    caller's acceptance test.  exact is (x, full multipliers, active set) of
+    the candidate found exact, else None.  steps counts the walk's reduced
+    solves; :func:`solve_dr_daqp` describes the walk.
     """
-    try:
-        x, lam_act = kkt_active_solve(p, act, reduced)
-    except Singular:
-        return None, None
-    lam = np.zeros(p.m)
-    lam[list(act)] = lam_act
-    exact = check_solution(p, x, lam, s.eps_primal, s.eps_dual)
-    return (x, lam), ((x, lam) if exact else None)
+    candidate, S, tried = None, act, set()
+    tol = s.eps_primal * (1.0 + float(abs(p.b).max(initial=0.0)))
+    while S not in tried and len(tried) <= _CHAIN_STEPS:
+        tried.add(S)
+        try:
+            x, lam_S = kkt_active_solve(p, S, reduced)
+        except Singular:
+            break
+        lam = np.zeros(p.m)
+        lam[list(S)] = lam_S
+        candidate = candidate or (x, lam)
+        # a set the walk reached must also be its fixed point: no lam < 0
+        if (len(tried) == 1 or lam_S.min(initial=0.0) >= 0) and check_solution(
+            p, x, lam, s.eps_primal, s.eps_dual
+        ):
+            return candidate, (x, lam, S), len(tried) - 1
+        viol = p.A @ x - p.b
+        viol[list(S)] = 0.0  # a row of S leaves only by its multiplier's sign
+        keep = [i for i in S if lam[i] > 0]
+        enter = np.argsort(-viol, kind="stable")[: p.n - len(keep)]
+        S = tuple(sorted(keep + [int(i) for i in enter if viol[i] > tol]))
+    return candidate, None, len(tried) - 1
 
 
 def _splitting_setup(p: AviProblem, s: SolverSettings):
@@ -538,9 +564,10 @@ def _iterate(
         streak = streak + 1 if act == last_act else 0
         tried = exact = None  # tried: the active set corrected this iteration
         accepted = False
+        chain = 0
         if corrections and streak >= s.stab_count:
             tried = act
-            candidate, exact = _correction(p, act, reduced, s)
+            candidate, exact, chain = _correction(p, act, reduced, s)
             if candidate is None:
                 streak = 0
             elif exact is None:
@@ -569,10 +596,11 @@ def _iterate(
         # tried in this iteration, before falling back to an inexact exit
         if corrections and exact is None and converged and act != tried:
             tried = act
-            _, exact = _correction(p, act, reduced, s)
+            _, exact, steps = _correction(p, act, reduced, s)
+            chain += steps
 
         if exact is not None:
-            y, lam = exact  # the certified candidate is the solution
+            y, lam, act = exact  # the certified candidate is the solution
         done = exact is not None or converged
         last_act = act
         if not done:
@@ -587,6 +615,7 @@ def _iterate(
                 inner_qp_iters=qp_iters,
                 dist_to_ref=_distance(y if done else z, reference),
                 active_set=act,
+                chain_steps=chain,
             )
         )
         if done:
@@ -638,16 +667,23 @@ def solve_dr_daqp(
     the reported active set has been unchanged, and once the streak reaches
     ``stab_count``, solve the reduced KKT system for that set.  A candidate
     that passes check_solution ends the solve with status Exact.  Otherwise
-    a second QP solve at the candidate point decides acceptance: the pair
-    (candidate, its QP solution) replaces (z_k, y_k) only when its merit
-    strictly improves the best accepted merit so far.  A failed or rejected
-    attempt resets the streak and rewinds the QP working set to the
-    pre-attempt active set.
+    a primal-dual active-set walk follows (Hintermueller, Ito & Kunisch,
+    SIAM J. Optim. 13, 2003): the next set keeps the rows with a positive
+    multiplier and adds the rows the candidate violates by more than
+    eps_primal (1 + max|b|), most violated first, up to n rows.  It stops at
+    a set already tried, at dependent rows, after ``_CHAIN_STEPS`` reduced
+    solves (``TraceRecord.chain_steps``), or at a candidate that passes
+    check_solution with no negative multiplier, which ends the solve with
+    status Exact and its own active set.  Otherwise a second QP solve at
+    the first candidate decides acceptance: the pair (candidate, its QP
+    solution) replaces (z_k, y_k) only when its merit strictly improves the
+    best accepted merit so far.  A failed or rejected attempt resets the
+    streak and rewinds the QP working set to the pre-attempt active set.
 
     Near-converged iterates get one last chance at an exact exit: when the
     merit falls below eta and the current active set is a set not yet tried
-    in this iteration, its reduced KKT system is solved and checked before
-    settling for status Tolerance.
+    in this iteration, its reduced KKT system is solved and checked, with
+    the same walk, before settling for status Tolerance.
 
     ``warm_start=False`` forces every inner QP to start from an empty
     working set (used for warm-vs-cold comparisons).

@@ -40,6 +40,9 @@ _STRICT_MARGIN = 1e-6
 # rank filter: keep subsets whose rows have orthogonal residual above this
 # fraction of the row norm
 _RANK_REL = 1e-10
+# subsets are ranked and solved in chunks of about this many saddle-matrix
+# entries, so memory stays bounded whatever n is
+_CHUNK_DOUBLES = 1 << 20
 
 
 @dataclass
@@ -58,14 +61,11 @@ class OracleResult:
     certified: bool
 
 
-def _independent_subsets(A: np.ndarray, size: int, row_norms: np.ndarray) -> np.ndarray:
-    """The index subsets of the given size whose constraint rows are linearly
-    independent, decided by a batched QR projection-residual test.
-
-    Returns an int array of shape (num, size), one subset per row in
-    lexicographic order.
+def _independent_subsets(A: np.ndarray, idx: np.ndarray, row_norms: np.ndarray) -> np.ndarray:
+    """The rows of idx (index subsets, one per row) whose constraint rows
+    are linearly independent, decided by a batched QR projection-residual
+    test, in their given order.
     """
-    idx = np.array(list(combinations(range(A.shape[0]), size)), dtype=np.intp)
     # QR of the transposed row stacks: |R_jj| is the norm of row j's
     # component orthogonal to the span of the previous rows
     r = np.linalg.qr(A[idx].transpose(0, 2, 1), mode="r")
@@ -145,16 +145,19 @@ def certified_candidates(p: AviProblem) -> list[tuple[tuple[int, ...], np.ndarra
     row_norms = np.linalg.norm(p.A, axis=1)
     passing = []
     for size in range(min(p.n, p.m) + 1):
-        idx = _independent_subsets(p.A, size, row_norms)
-        xs, lams = _solve_batch(p, idx)
-        # slacks only of finite rows: an inf in x would make inf - inf
-        ok = np.all(np.isfinite(xs), axis=1) & np.all(np.isfinite(lams), axis=1)
-        slack = p.b - xs[ok] @ p.A.T
-        ok[ok] = (np.min(slack, axis=1, initial=np.inf) >= -_FEAS_TOL) & (
-            np.min(lams[ok], axis=1, initial=np.inf) >= -_FEAS_TOL
-        )
-        lam_full = np.zeros((np.count_nonzero(ok), p.m))
-        np.put_along_axis(lam_full, idx[ok], lams[ok], axis=1)
-        # subsets as tuples of Python ints, which print and serialize plainly
-        passing += zip(map(tuple, idx[ok].tolist()), xs[ok], lam_full)
+        subsets = np.array(list(combinations(range(p.m), size)), dtype=np.intp)
+        chunk = max(1, _CHUNK_DOUBLES // (p.n + size) ** 2)
+        for start in range(0, len(subsets), chunk):
+            idx = _independent_subsets(p.A, subsets[start : start + chunk], row_norms)
+            xs, lams = _solve_batch(p, idx)
+            # slacks only of finite rows: an inf in x would make inf - inf
+            ok = np.all(np.isfinite(xs), axis=1) & np.all(np.isfinite(lams), axis=1)
+            slack = p.b - xs[ok] @ p.A.T
+            ok[ok] = (np.min(slack, axis=1, initial=np.inf) >= -_FEAS_TOL) & (
+                np.min(lams[ok], axis=1, initial=np.inf) >= -_FEAS_TOL
+            )
+            lam_full = np.zeros((np.count_nonzero(ok), p.m))
+            np.put_along_axis(lam_full, idx[ok], lams[ok], axis=1)
+            # subsets as tuples of Python ints, which print and serialize plainly
+            passing += zip(map(tuple, idx[ok].tolist()), xs[ok], lam_full)
     return passing

@@ -25,6 +25,7 @@ from avisolve import (
     GenSpec,
     Infeasible,
     NotPositiveDefinite,
+    QuadraticGame,
     ReducedKkt,
     Singular,
     SolverSettings,
@@ -39,6 +40,7 @@ from avisolve import (
     qp_linear_term,
     qp_setup,
     qp_solve,
+    quadratic_game_to_avi,
     random_avi,
     solve_dr,
     solve_dr_daqp,
@@ -468,6 +470,92 @@ def test_solve_dr_daqp_exact_on_badly_scaled_rows():
             assert sol.active_set == orc.active_set, seed
 
 
+# Seeds of random_avi(n=4, m=8, gamma=0.5) that solve_dr_daqp reports Exact
+# with a wrong x when every correction tries only the QP's active set: a far
+# redundant row 0.5 (1, 1, 1, 1) x <= B, and (H, f) scaled by s.  The
+# tolerances of check_solution are the cause (ROADMAP item 1); the
+# active-set walk tries more sets per correction and must not add a seed.
+_FALSE_EXACT_WITHOUT_WALK = {
+    ("far row", 1e5): {25},
+    ("far row", 1e7): {1, 16, 21, 25, 34, 42, 43, 50},
+    ("small objective", 1e-8): {42},
+    ("small objective", 1e-10): {5, 11, 14, 15, 21, 22, 26, 31, 41, 42, 47},
+}
+
+
+def test_active_set_walk_adds_no_false_exact():
+    wrong = {key: set() for key in _FALSE_EXACT_WITHOUT_WALK}
+    for seed in range(1, 51):
+        prob = random_avi(GenSpec(n=4, m=8, gamma_asym=0.5, seed=seed))
+        x_star = brute_force_solve(prob).x
+        for family, value in wrong:
+            if family == "far row":
+                A = np.vstack([prob.A, np.full(4, 0.5)])
+                variant = AviProblem(H=prob.H, f=prob.f, A=A, b=np.append(prob.b, value))
+            else:
+                variant = AviProblem(H=value * prob.H, f=value * prob.f, A=prob.A, b=prob.b)
+            sol, _ = solve_dr_daqp(variant)
+            if sol.status == "Exact" and np.max(np.abs(sol.x - x_star)) > 1e-6:
+                wrong[family, value].add(seed)
+    for key, seeds in wrong.items():
+        assert seeds <= _FALSE_EXACT_WITHOUT_WALK[key], (key, seeds)
+
+
+def _game(seed):
+    """A 4-player quadratic game drawn as the benchmark's game workload
+    draws one: 200 variables, 100 rows scaled by 10**U(-2, 2)."""
+    rng = np.random.default_rng(seed)
+    d, count = 50, 4
+    n = d * count
+    blocks = [[None] * count for _ in range(count)]
+    for i in range(count):
+        M = rng.standard_normal((d, d))
+        blocks[i][i] = M.T @ M / d + 0.1 * np.eye(d)
+    for i in range(count):
+        for j in range(i + 1, count):
+            C = rng.standard_normal((d, d)) / np.sqrt(d)
+            blocks[i][j], blocks[j][i] = C, -C.T
+    linear = [rng.standard_normal(d) for _ in range(count)]
+    rows = []
+    for i in range(count):
+        private = np.zeros((15, n))
+        private[:, i * d : (i + 1) * d] = rng.standard_normal((15, d))
+        rows.append(private)
+    A = np.vstack(rows + [rng.standard_normal((40, n))])
+    b = A @ rng.standard_normal(n) + rng.uniform(0.1, 1.1, A.shape[0])
+    scale = 10.0 ** rng.uniform(-2, 2, A.shape[0])
+    game = QuadraticGame(blocks=blocks, linear=linear, A=A * scale[:, None], b=b * scale)
+    return quadratic_game_to_avi(game)
+
+
+def test_trace_counts_every_reduced_kkt_solve(monkeypatch):
+    # each correction solves its own set once and its walk chain_steps more
+    # times, so the trace accounts for every reduced KKT solve of a solve
+    import avisolve.avi as avi_module
+
+    kkt, correction = avi_module.kkt_active_solve, avi_module._correction
+    calls = {"solves": 0, "attempts": 0}
+
+    def solved(*args):
+        calls["solves"] += 1
+        return kkt(*args)
+
+    def attempted(*args):
+        calls["attempts"] += 1
+        return correction(*args)
+
+    monkeypatch.setattr(avi_module, "kkt_active_solve", solved)
+    monkeypatch.setattr(avi_module, "_correction", attempted)
+    # the game's walk ends Exact; the random instance makes three attempts,
+    # two of whose walks run to the step limit
+    for prob in (_game(0), random_avi(GenSpec(n=5, m=10, gamma_asym=0.5, seed=1))):
+        calls.update(solves=0, attempts=0)
+        sol, trace = solve_dr_daqp(prob)
+        steps = sum(r.chain_steps for r in trace)
+        assert sol.status == "Exact" and steps > 0
+        assert steps + calls["attempts"] == calls["solves"]
+
+
 def test_solve_dr_daqp_row_scaling_invariance():
     # a row-scaled copy gives the same status, set and x; its multipliers
     # are those of the original divided by the row scales
@@ -583,15 +671,19 @@ for seed in map(int, sys.argv[1:]):
 """
 
 
-def _solve_in_fresh_process(*seeds):
+def _in_fresh_process(code, *args):
     src = str(Path(avisolve.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _SOLVE_SEEDS, *map(str, seeds)],
+        [sys.executable, "-c", code, *map(str, args)],
         capture_output=True, text=True, env=env, check=True,
     )  # fmt: skip
     return proc.stdout.splitlines()
+
+
+def _solve_in_fresh_process(*seeds):
+    return _in_fresh_process(_SOLVE_SEEDS, *seeds)
 
 
 def test_solve_dr_daqp_keeps_no_state_between_solves():
@@ -601,6 +693,26 @@ def test_solve_dr_daqp_keeps_no_state_between_solves():
     (a_fresh,), (b_fresh,) = _solve_in_fresh_process(1), _solve_in_fresh_process(2)
     assert (a, b, a_again) == (a_fresh, b_fresh, a_fresh)
     assert int(a.split()[0]) > 0 and int(b.split()[0]) > 0  # corrections ran
+
+
+_IMPORTS = """
+import sys
+import avisolve
+print(*sorted({name.split(".")[1] for name, module in list(sys.modules.items())
+               if name.startswith("scipy.") and not name.split(".")[1].startswith("_")
+               and hasattr(module, "__path__")}))
+print(*[name for name in ("scipy.optimize", "scipy.sparse", "fractions", "hypothesis")
+        if name in sys.modules])
+"""
+
+
+def test_import_loads_no_optional_dependency():
+    # importing the package is most of a solve's set-up time, so a reference
+    # that needs scipy.optimize, scipy.sparse, fractions or hypothesis must
+    # import it where it is used, not at package import
+    packages, optional = _in_fresh_process(_IMPORTS)
+    assert packages == "linalg"
+    assert optional == ""
 
 
 def test_solve_dr_daqp_exact_with_nearly_singular_sym_h():
@@ -617,11 +729,13 @@ def test_solve_dr_daqp_survives_singular_corrections(monkeypatch):
     # two active rows 3e-7 apart in angle: the splitting iteration settles on
     # both, and every correction on that set raises Singular inside
     # kkt_active_solve; each failure resets the streak, so the attempts come
-    # stab_count iterations apart and the solve ends inexact without raising
+    # stab_count iterations apart and the solve ends inexact without raising.
+    # The active-set walk of a correction on another set may step into (0, 1)
+    # too, so failures are counted per attempt, not per raise.
     import avisolve.avi as avi_module
 
-    kkt = avi_module.kkt_active_solve
-    raised = []
+    kkt, correction = avi_module.kkt_active_solve, avi_module._correction
+    raised, failed = [], []
 
     def counted(p, act, *args):
         try:
@@ -630,7 +744,14 @@ def test_solve_dr_daqp_survives_singular_corrections(monkeypatch):
             raised.append(act)
             raise
 
+    def attempted(p, act, *args):
+        candidate, exact, steps = correction(p, act, *args)
+        if candidate is None:
+            failed.append(act)
+        return candidate, exact, steps
+
     monkeypatch.setattr(avi_module, "kkt_active_solve", counted)
+    monkeypatch.setattr(avi_module, "_correction", attempted)
     H = np.array([[1.0, 0.5], [-0.5, 1.0]])
     x_star = np.ones(2)
     a1 = np.array([1.0, 0.0])
@@ -639,9 +760,10 @@ def test_solve_dr_daqp_survives_singular_corrections(monkeypatch):
     prob = AviProblem(H=H, f=-H @ x_star - 1e6 * (a1 + a2), A=A, b=A @ x_star)
     sol, trace = solve_dr_daqp(prob)
     assert sol.status == "Tolerance"
-    assert len(raised) >= 2 and set(raised) == {(0, 1)}
+    assert set(raised) == {(0, 1)} and len(raised) >= len(failed)
+    assert len(failed) >= 2 and set(failed) == {(0, 1)}
     ks = [r.k for r in trace if r.newton_attempted and r.active_set == (0, 1)]
-    assert len(ks) == len(raised)
+    assert len(ks) == len(failed)
     assert set(np.diff(ks).tolist()) == {SolverSettings().stab_count}
 
 

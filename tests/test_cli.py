@@ -231,9 +231,9 @@ def test_solve_with_reference(tmp_path, capsys):
 
 
 def test_solve_trace_rows_match_library_trace(tmp_path, capsys):
-    # this instance accepts a correction and exits Exact on the next attempt,
-    # so both flag columns read 1 somewhere
-    problem = random_avi(GenSpec(n=3, m=6, gamma_asym=0.5, seed=4))
+    # this instance accepts a correction whose active-set walk finds no exact
+    # candidate, and exits Exact later, so both flag columns read 1 somewhere
+    problem = random_avi(GenSpec(n=3, m=6, gamma_asym=0.5, seed=75))
     reference = np.array([0.5, -0.25, 1.0])
     problem_path, ref_path = tmp_path / "p.json", tmp_path / "ref.json"
     write_problem(problem_path, problem)

@@ -1,5 +1,7 @@
 """Tests for the brute-force enumeration oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,3 +175,40 @@ def test_candidates_on_degenerate_integer_problems():
         assert any(s == res.active_set and np.array_equal(x, res.x) for s, x, _ in candidates)
         unconstrained += p.m == 0
     assert unconstrained >= 10
+
+
+def _candidate_bytes(p):
+    return [(s, x.tobytes(), lam.tobytes()) for s, x, lam in certified_candidates(p)]
+
+
+def test_chunked_enumeration_gives_the_bytes_of_one_batch(monkeypatch):
+    # each saddle matrix of a batch is factored on its own, so the chunk size
+    # must not move a bit; at these sizes one chunk holds a whole subset size,
+    # and a chunk of one subset is the other extreme
+    import avisolve.oracle as oracle_module
+
+    problems = [
+        random_avi(GenSpec(n=n, m=2 * n, gamma_asym=0.5, seed=seed))
+        for n in (2, 4, 6)
+        for seed in range(3)
+    ] + [_integer_avi(np.random.default_rng([23, case])) for case in range(40)]
+    # H = 0: a singular saddle matrix sends its chunk to the one-by-one solves
+    problems.append(
+        AviProblem(H=np.zeros((2, 2)), f=-np.ones(2), A=np.eye(2), b=np.ones(2))
+    )
+    whole = [_candidate_bytes(p) for p in problems]
+    monkeypatch.setattr(oracle_module, "_CHUNK_DOUBLES", 1)
+    assert [_candidate_bytes(p) for p in problems] == whole
+
+
+def test_enumeration_memory_is_bounded():
+    # with one batch per subset size this call peaked at 108 MB, and the same
+    # count grows as n squared; chunks keep it to a few MB
+    p = random_avi(GenSpec(n=20, m=16, gamma_asym=0.5, seed=1))
+    tracemalloc.start()
+    try:
+        brute_force_solve(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
