@@ -25,9 +25,9 @@ Three solvers are provided:
   exactness check, the solver stops with the exact solution (status Exact);
   otherwise a short primal-dual active-set walk from it may still find one,
   and failing that the candidate is accepted as the new iterate only when it
-  strictly improves the best merit seen at an acceptance so far.  On large
-  problems the inner QPs of early iterations are solved inexactly, under a
-  working-set change cap that doubles per iteration.
+  strictly improves the best merit seen at an acceptance so far.  The
+  inner QPs of early iterations are solved inexactly, under a working-set
+  change cap that doubles per iteration.
 * :func:`solve_projected_gradient` is a deliberately simple baseline:
   Euclidean projections of explicit gradient steps.  Never exact.
 
@@ -462,17 +462,19 @@ def _equilibrate(p: AviProblem) -> tuple[AviProblem, np.ndarray]:
 _CHAIN_STEPS = 5
 
 
-def _correction(p: AviProblem, act: tuple[int, ...], reduced: ReducedKkt, s: SolverSettings):
+def _correction(
+    p: AviProblem, act: tuple[int, ...], reduced: ReducedKkt, s: SolverSettings, tol: float
+):
     """Reduced KKT solve for act and the active-set walk from it.
 
     Returns (candidate, exact, steps).  candidate is (x, full multipliers)
     for act, or None when its rows are dependent; only it goes to the
     caller's acceptance test.  exact is (x, full multipliers, active set) of
     the candidate found exact, else None.  steps counts the walk's reduced
-    solves; :func:`solve_dr_daqp` describes the walk.
+    solves; :func:`solve_dr_daqp` describes the walk, in which a row enters
+    when the candidate violates it by more than ``tol``.
     """
     candidate, S, tried = None, act, set()
-    tol = s.eps_primal * (1.0 + float(abs(p.b).max(initial=0.0)))
     while S not in tried and len(tried) <= _CHAIN_STEPS:
         tried.add(S)
         try:
@@ -551,7 +553,7 @@ def _iterate(
     delta = np.inf  # best merit at an accepted correction, nonincreasing
     streak = 0
     last_act = None  # sentinel: no attempt can fire at k = 0
-    capping = corrections and warm_start and z0 is None and qp.priced
+    capping = corrections and z0 is None
     for k in range(s.max_iter):
         # inexact early QPs: the main QP of iteration k stops after
         # floor(n 2^k / 2) changes, until that reaches the change budget
@@ -567,7 +569,7 @@ def _iterate(
         chain = 0
         if corrections and streak >= s.stab_count:
             tried = act
-            candidate, exact, chain = _correction(p, act, reduced, s)
+            candidate, exact, chain = _correction(p, act, reduced, s, qp.eps_primal)
             if candidate is None:
                 streak = 0
             elif exact is None:
@@ -596,7 +598,7 @@ def _iterate(
         # tried in this iteration, before falling back to an inexact exit
         if corrections and exact is None and converged and act != tried:
             tried = act
-            _, exact, steps = _correction(p, act, reduced, s)
+            _, exact, steps = _correction(p, act, reduced, s, qp.eps_primal)
             chain += steps
 
         if exact is not None:
@@ -692,10 +694,9 @@ def solve_dr_daqp(
     so the main QP of iteration k stops after floor(n 2^k / 2) working-set
     changes (``QpWorkspace.max_changes``; ``QpResult.capped``), until that
     cap reaches the change budget of the CycleLimit test; from then on no QP
-    of the solve is capped.  The cap applies only with ``warm_start``,
-    without a caller's ``z0`` (a start near the solution needs one exact QP)
-    and when m * n reaches the inner QP's pricing size.  The acceptance QP of
-    a correction and the QP of the last allowed iteration are never capped.
+    of the solve is capped.  The cap applies only without a caller's ``z0``
+    (a start near the solution needs one exact QP).  The acceptance QP of a
+    correction and the QP of the last allowed iteration are never capped.
     A capped QP's y solves no QP, so its merit neither ends the solve nor
     triggers the near-convergence polish; a correction on its active set
     still runs, and Exact is still certified by check_solution.  Finitely

@@ -87,6 +87,7 @@ TRACE_COLUMNS = [
     "newton_accepted",
     "inner_qp_iters",
     "dist_to_ref",
+    "chain_steps",
 ]
 
 BENCH_COLUMNS = [

@@ -21,7 +21,6 @@ Both factor objects expose ``solve``.  :func:`lower_solve` and
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf
 
@@ -83,16 +82,11 @@ class SpdFactor:
         self.n = chol.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve M x = rhs; rhs may be a vector or a matrix of columns."""
+        """Solve M x = rhs for a vector rhs."""
         b = np.asarray(rhs, dtype=float)
-        if b.shape[0] != self.n:
-            raise DimensionMismatch(
-                f"rhs has leading dimension {b.shape[0]}, factor is {self.n}x{self.n}"
-            )
-        if b.ndim == 1:
-            return cholesky_solve(self.chol, b)
-        y = scipy.linalg.solve_triangular(self.chol, b, lower=True, check_finite=False)
-        return scipy.linalg.solve_triangular(self.chol.T, y, lower=False, check_finite=False)
+        if b.shape != (self.n,):
+            raise DimensionMismatch(f"rhs has shape {b.shape}, factor is {self.n}x{self.n}")
+        return cholesky_solve(self.chol, b)
 
     def reconstruct(self) -> np.ndarray:
         """Return C @ C.T, for testing the factorization."""

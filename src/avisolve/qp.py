@@ -188,11 +188,6 @@ class QpWorkspace:
         """Working-set changes one call may make before it raises CycleLimit."""
         return 100 * (self.m + self.n)
 
-    @property
-    def priced(self) -> bool:
-        """Whether scans keep candidates (multiple pricing, module docstring)."""
-        return self.m * self.n >= _PRICE_MIN_SIZE
-
     # -- working-set bookkeeping -------------------------------------------
 
     def set_working_set(self, indices) -> None:
@@ -317,7 +312,7 @@ def qp_solve(ws: QpWorkspace, linear_term: np.ndarray, warm_start: bool = True) 
     # No anti-cycling rule: an add steps by t_add = vp / d2 > 0, as vp starts
     # above eps_primal and a drop stops short of t_add, so each step of length
     # <= 0 drops one of at most min(m, n) rows; the budget guards roundoff.
-    keep = min(_PRICE_K, ws.m) if ws.priced else 1
+    keep = min(_PRICE_K, ws.m) if ws.m * ws.n >= _PRICE_MIN_SIZE else 1
     candidates: list[int] = []
     capped = False
     while ws.m:

@@ -768,8 +768,8 @@ def test_solve_dr_daqp_survives_singular_corrections(monkeypatch):
 
 
 def _priced_avi(seed):
-    """random_avi at n = 130, m = 1300, above the inner QP's pricing size:
-    solve_dr_daqp caps the main QPs of its early iterations here."""
+    """random_avi at n = 130, m = 1300, above the inner QP's pricing size,
+    where the early QPs capped by solve_dr_daqp take many changes."""
     return random_avi(GenSpec(n=130, m=1300, gamma_asym=0.5, seed=seed))
 
 
@@ -785,8 +785,13 @@ def test_solve_dr_daqp_capped_early_qps_end_where_a_restart_at_x_does(monkeypatc
         return res
 
     monkeypatch.setattr(avi_module, "qp_solve", recorded)
-    for seed in range(1, 5):
-        prob = _priced_avi(seed)
+    # the cap does not depend on the inner QP's pricing size
+    problems = [_priced_avi(seed) for seed in range(1, 5)] + [
+        random_avi(GenSpec(n=n, m=10 * n, gamma_asym=0.5, seed=s))
+        for n in (10, 30)
+        for s in range(1, 5)
+    ]
+    for prob in problems:
         capped.clear()
         sol, _ = solve_dr_daqp(prob)
         assert sol.status == "Exact"
@@ -797,6 +802,9 @@ def test_solve_dr_daqp_capped_early_qps_end_where_a_restart_at_x_does(monkeypatc
         assert not any(capped)
         assert again.status == "Exact" and again.iterations == 1
         assert np.array_equal(again.x, sol.x)
+        # and the uncapped solve from the same start ends at the same x
+        uncapped, _ = solve_dr_daqp(prob, z0=np.zeros(prob.n))
+        assert np.array_equal(uncapped.x, sol.x)
 
 
 def test_solve_dr_daqp_capped_early_qps_leave_no_infeasible_answer():

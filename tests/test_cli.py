@@ -258,6 +258,7 @@ def test_solve_trace_rows_match_library_trace(tmp_path, capsys):
             str(int(r.newton_accepted)),
             str(r.inner_qp_iters),
             str(r.dist_to_ref),
+            str(r.chain_steps),
         ]
         for r in trace
     ]

@@ -16,6 +16,11 @@ and moving one is a behaviour change like rewriting a record.  Records of
 deliberate behaviour change, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+The writer keeps a record's stored ``x`` when its status and active set
+are unchanged and ``x`` is within ``X_TOL`` of it, so last-bit differences
+between machines move no record, and it prints each ``QP_CHANGES`` total
+that differs from the dict above, to be copied into it by hand.
 """
 
 import json
@@ -40,13 +45,13 @@ X_TOL = 1e-10
 QP_CHANGES = {
     (10, seed): total
     for seed, total in enumerate(
-        [28, 37, 22, 24, 22, 35, 34, 15, 33, 34, 54, 46, 38, 22, 35, 34, 24, 20, 26, 36]
+        [24, 23, 18, 22, 28, 23, 28, 25, 23, 22, 32, 32, 30, 18, 29, 25, 20, 20, 22, 22]
     )
 } | {
     (30, seed): total
     for seed, total in enumerate(
-        [130, 116, 96, 96, 114, 135, 120, 121, 130, 133,
-         129, 134, 119, 154, 146, 136, 128, 130, 112, 108]
+        [104, 86, 96, 98, 96, 91, 104, 86, 88, 113,
+         81, 86, 83, 104, 102, 92, 106, 98, 106, 92]
     )
 }
 
@@ -65,6 +70,16 @@ def record(solver: str, n: int, seed: int) -> dict:
         "active_set": [int(i) for i in sol.active_set],
         "x": [float(v) for v in sol.x],
     }
+
+
+def qp_changes(n: int, seed: int) -> int:
+    prob = random_avi(GenSpec(n=n, m=10 * n, gamma_asym=0.5, seed=seed))
+    _, trace = avisolve.solve_dr_daqp(prob)
+    return sum(r.inner_qp_iters for r in trace)
+
+
+def _x_close(got: dict, want: dict) -> bool:
+    return np.max(np.abs(np.array(got["x"]) - np.array(want["x"]))) <= X_TOL
 
 
 def _golden() -> dict[tuple[str, int, int], dict]:
@@ -88,20 +103,30 @@ def test_golden_trace(solver, n, seed):
     assert got["status"] == want["status"]
     assert got["iterations"] == want["iterations"]
     assert got["active_set"] == want["active_set"]
-    assert np.max(np.abs(np.array(got["x"]) - np.array(want["x"]))) <= X_TOL
+    assert _x_close(got, want)
 
 
 @pytest.mark.parametrize(
     "n,seed", sorted(QP_CHANGES), ids=[f"{n}-{seed}" for n, seed in sorted(QP_CHANGES)]
 )
 def test_golden_inner_qp_changes(n, seed):
-    prob = random_avi(GenSpec(n=n, m=10 * n, gamma_asym=0.5, seed=seed))
-    _, trace = avisolve.solve_dr_daqp(prob)
-    assert sum(r.inner_qp_iters for r in trace) == QP_CHANGES[(n, seed)]
+    assert qp_changes(n, seed) == QP_CHANGES[(n, seed)]
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
-    lines = ",\n".join(json.dumps(record(*case)) for case in CASES)
+    old = _golden()
+    same = ("status", "active_set")
+    records = []
+    for case in CASES:
+        got, want = record(*case), old.get(case)
+        if want and all(got[k] == want[k] for k in same) and _x_close(got, want):
+            got["x"] = want["x"]
+        records.append(got)
+    lines = ",\n".join(json.dumps(r) for r in records)
     GOLDEN.write_text('{"records": [\n' + lines + "\n]}\n")
+    for (n, seed), total in sorted(QP_CHANGES.items()):
+        got = qp_changes(n, seed)
+        if got != total:
+            print(f"QP_CHANGES[({n}, {seed})]: {total} -> {got}")
