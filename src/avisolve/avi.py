@@ -21,13 +21,15 @@ Three solvers are provided:
   stabilization heuristic: once the inner QP reports the same active set for
   ``stab_count`` consecutive iterations, the reduced KKT system for that set
   is solved directly, through one LU factor of H per solve and a q x q Schur
-  complement (:func:`kkt_active_solve`).  If the candidate passes the
+  complement (:func:`kkt_active_solve`); the set of an uncapped first inner
+  QP is solved at once, with no streak.  If the candidate passes the
   exactness check, the solver stops with the exact solution (status Exact);
   otherwise a short primal-dual active-set walk from it may still find one,
   and failing that the candidate is accepted as the new iterate only when it
   strictly improves the best merit seen at an acceptance so far.  The
   inner QPs of early iterations are solved inexactly, under a working-set
-  change cap that doubles per iteration.
+  change cap that doubles per iteration, and rho I + H is factored only
+  when the first update needs it.
 * :func:`solve_projected_gradient` is a deliberately simple baseline:
   Euclidean projections of explicit gradient steps.  Never exact.
 
@@ -37,6 +39,7 @@ constraint rows have unit norm.  All iteration-level norms are Euclidean.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -161,16 +164,22 @@ class DrWorkspace:
     """Factored data of the splitting iteration.
 
     The inner QP's working set is the only state that changes during a
-    solve; the rest depends on the problem and rho alone.
+    solve; the rest depends on the problem and rho alone.  The LU factor of
+    rho I + H is built on first use, so a solve that ends before its first
+    DR update never computes it.
     """
 
     problem: AviProblem
     h_sym: np.ndarray
     qp_hessian: np.ndarray
     rho: float
-    update_factor: GeneralFactor
     qp: QpWorkspace
     h_delta: np.ndarray
+
+    @functools.cached_property
+    def update_factor(self) -> GeneralFactor:
+        """LU factor of rho I + H, the matrix of :func:`dr_update`."""
+        return factor_general(self.rho * np.eye(self.problem.n) + self.problem.H)
 
 
 @dataclass
@@ -250,7 +259,8 @@ def _checked_sym(p: AviProblem) -> np.ndarray:
 
 
 def build_dr_workspace(p: AviProblem, s: SolverSettings) -> DrWorkspace:
-    """Factor everything the splitting iteration needs.
+    """Factor what the splitting iteration needs; the DR update's factor
+    waits for its first use (:attr:`DrWorkspace.update_factor`).
 
     Checks the standing assumption (sym(H) positive definite) first; a
     violation raises AssumptionViolated.  rho defaults to the Frobenius
@@ -258,14 +268,12 @@ def build_dr_workspace(p: AviProblem, s: SolverSettings) -> DrWorkspace:
     """
     h_sym = _checked_sym(p)
     rho = float(s.rho) if s.rho is not None else float(np.linalg.norm(p.H, "fro"))
-    eye = np.eye(p.n)
-    qp_hessian = rho * eye + h_sym
+    qp_hessian = rho * np.eye(p.n) + h_sym
     workspace = DrWorkspace(
         problem=p,
         h_sym=h_sym,
         qp_hessian=qp_hessian,
         rho=rho,
-        update_factor=factor_general(rho * eye + p.H),
         qp=qp_setup(qp_hessian, p.A, p.b),
         h_delta=p.H - qp_hessian,
     )
@@ -535,9 +543,10 @@ def _iterate(
     and either exits (merit <= eta, or an exact correction) or moves z by
     the solver's update.  ``setup(p, s)`` returns the solver's QP workspace,
     its linear-term map z -> g and its update (y, z) -> z.  With
-    ``corrections`` the active-set stabilization, the near-convergence
-    polish and the inexact early QPs described in :func:`solve_dr_daqp` run
-    as well; the polish corrects a set not yet tried in this iteration.
+    ``corrections`` the active-set stabilization, the correction of an
+    uncapped first QP, the near-convergence polish and the inexact early
+    QPs described in :func:`solve_dr_daqp` run as well; the polish corrects
+    a set not yet tried in this iteration.
 
     The loop runs on a copy of ``user`` with unit-norm rows; the returned
     multipliers and KKT residual belong to ``user``.
@@ -552,7 +561,7 @@ def _iterate(
     trace = IterationTrace()
     delta = np.inf  # best merit at an accepted correction, nonincreasing
     streak = 0
-    last_act = None  # sentinel: no attempt can fire at k = 0
+    last_act = None  # sentinel: no streak can reach stab_count at k = 0
     capping = corrections and z0 is None
     for k in range(s.max_iter):
         # inexact early QPs: the main QP of iteration k stops after
@@ -587,6 +596,10 @@ def _iterate(
                 else:
                     streak = 0
                     qp.set_working_set(act)
+        elif corrections and k == 0 and not capped:
+            # an uncapped first QP is corrected at once; only an Exact exit counts
+            tried = act
+            _, exact, chain = _correction(p, act, reduced, s, qp.eps_primal)
 
         d = y - z
         merit = math.sqrt(d @ d)
@@ -682,6 +695,15 @@ def solve_dr_daqp(
     best accepted merit so far.  A failed or rejected attempt resets the
     streak and rewinds the QP working set to the pre-attempt active set.
 
+    The first iteration needs no streak when its QP ends uncapped (it needed
+    fewer working-set changes than the cap below, or the caller gave
+    ``z0``): its active set is corrected at once, with the same walk.  An
+    exact candidate ends the solve with status Exact after one iteration;
+    otherwise the attempt changes nothing, with no acceptance QP, and z,
+    the streak and the working set stay as they were.  The LU factor of
+    rho I + H (``DrWorkspace.update_factor``) is built by the first DR
+    update, so a solve ended by that attempt never computes it.
+
     Near-converged iterates get one last chance at an exact exit: when the
     merit falls below eta and the current active set is a set not yet tried
     in this iteration, its reduced KKT system is solved and checked, with
@@ -698,11 +720,12 @@ def solve_dr_daqp(
     (a start near the solution needs one exact QP).  The acceptance QP of a
     correction and the QP of the last allowed iteration are never capped.
     A capped QP's y solves no QP, so its merit neither ends the solve nor
-    triggers the near-convergence polish; a correction on its active set
-    still runs, and Exact is still certified by check_solution.  Finitely
-    many inexact splitting steps keep the iteration convergent (Eckstein &
-    Bertsekas, Math. Prog. 55, 1992), and an iterate that ends the solve
-    comes from an exact QP or an exact correction.
+    triggers the near-convergence polish or the first-iteration correction;
+    a streak's correction on its active set still runs, and Exact is still
+    certified by check_solution.  Finitely many inexact splitting steps keep
+    the iteration convergent (Eckstein & Bertsekas, Math. Prog. 55, 1992),
+    and an iterate that ends the solve comes from an exact QP or an exact
+    correction.
 
     The iteration runs on a copy of the problem whose constraint rows have
     unit norm, so every tolerance means the same distance on every row

@@ -389,7 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--stab-count",
         type=int,
         default=None,
-        help=f"streak length before a KKT attempt (default {SolverSettings.stab_count})",
+        help=(
+            f"streak length before a KKT attempt (default {SolverSettings.stab_count}); "
+            "an uncapped first inner QP is corrected without a streak"
+        ),
     )
     p_solve.add_argument("--trace", default=None, help="write per-iteration CSV here")
     p_solve.add_argument(

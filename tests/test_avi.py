@@ -423,7 +423,8 @@ def test_solve_dr_daqp_scalar_interior():
     np.testing.assert_allclose(sol.x, [1.0], atol=1e-12)
     assert sol.iterations <= 3
     assert sol.active_set == ()
-    # the first iteration cannot attempt a correction: no previous set exists
+    # the first iteration attempts no correction: at n = 1 its QP is capped
+    # at floor(1/2) = 0 changes, and a capped first QP waits for a streak
     assert not trace[0].newton_attempted
     assert trace[-1].newton_attempted
 
@@ -554,6 +555,42 @@ def test_trace_counts_every_reduced_kkt_solve(monkeypatch):
         steps = sum(r.chain_steps for r in trace)
         assert sol.status == "Exact" and steps > 0
         assert steps + calls["attempts"] == calls["solves"]
+
+
+def test_uncapped_first_qp_is_corrected_at_once():
+    # the first QP of these solves ends under its cap, so its set is
+    # corrected at k = 0 with no streak, and the walk from it ends Exact
+    # with x solved on the unit-row copy the solver runs on
+    from avisolve.avi import _equilibrate
+
+    for prob in (_game(0), random_avi(GenSpec(n=30, m=20, gamma_asym=0.5, seed=1))):
+        sol, trace = solve_dr_daqp(prob)
+        assert trace[0].newton_attempted and trace[0].chain_steps > 0
+        assert sol.status == "Exact" and sol.iterations == 1
+        x, _ = kkt_active_solve(_equilibrate(prob)[0], sol.active_set)
+        assert np.array_equal(sol.x, x)
+
+
+def test_solve_ended_at_k0_never_factors_the_update_matrix(monkeypatch):
+    # rho I + H is factored on the first DR update, once per solve; a solve
+    # that the first correction ends factors H (and Schur complements) only
+    import avisolve.avi as avi_module
+
+    factor = avi_module.factor_general
+    factored = []
+
+    def recorded(mat):
+        factored.append(mat)
+        return factor(mat)
+
+    monkeypatch.setattr(avi_module, "factor_general", recorded)
+    for prob in (_game(0), random_avi(GenSpec(n=10, m=100, gamma_asym=0.5, seed=1))):
+        factored.clear()
+        sol, _ = solve_dr_daqp(prob)
+        rho = float(np.linalg.norm(prob.H, "fro"))
+        updates = [mat for mat in factored if np.array_equal(mat, rho * np.eye(prob.n) + prob.H)]
+        assert len(updates) == (sol.iterations > 1)
+        assert sum(np.array_equal(mat, prob.H) for mat in factored) == 1
 
 
 def test_solve_dr_daqp_row_scaling_invariance():
@@ -793,9 +830,11 @@ def test_solve_dr_daqp_capped_early_qps_end_where_a_restart_at_x_does(monkeypatc
     ]
     for prob in problems:
         capped.clear()
-        sol, _ = solve_dr_daqp(prob)
+        sol, trace = solve_dr_daqp(prob)
         assert sol.status == "Exact"
         assert capped[0]
+        # a capped first QP waits for a streak before any correction
+        assert not trace[0].newton_attempted
         # a caller's z0 turns the cap off: a restart at x* takes one QP
         capped.clear()
         again, _ = solve_dr_daqp(prob, z0=sol.x)
