@@ -17,19 +17,12 @@ Three solvers are provided:
   linear term depends on the running iterate, then applies a linear update
   through a cached factorization of ``rho I + H``.  Converges linearly; the
   merit ``||y_k - z_k||`` is the stopping signal.
-* :func:`solve_dr_daqp` augments the splitting with an active-set
-  stabilization heuristic: once the inner QP reports the same active set for
-  ``stab_count`` consecutive iterations, the reduced KKT system for that set
-  is solved directly, through one LU factor of H per solve and a q x q Schur
-  complement (:func:`kkt_active_solve`); the set of an uncapped first inner
-  QP is solved at once, with no streak.  If the candidate passes the
-  exactness check, the solver stops with the exact solution (status Exact);
-  otherwise a short primal-dual active-set walk from it may still find one,
-  and failing that the candidate is accepted as the new iterate only when it
-  strictly improves the best merit seen at an acceptance so far.  The
-  inner QPs of early iterations are solved inexactly, under a working-set
-  change cap that doubles per iteration, and rho I + H is factored only
-  when the first update needs it.
+* :func:`solve_dr_daqp` adds corrections to the splitting: the reduced KKT
+  system of the inner QP's active set is solved directly, through one LU
+  factor of H per solve and a q x q Schur complement
+  (:func:`kkt_active_solve`), and a candidate that passes the exactness
+  check ends the solve with status Exact.  Its docstring states when a
+  correction runs, and how the inner QPs of early iterations are capped.
 * :func:`solve_projected_gradient` is a deliberately simple baseline:
   Euclidean projections of explicit gradient steps.  Never exact.
 
@@ -145,8 +138,8 @@ class SolverSettings:
     def __post_init__(self):
         if self.rho is not None and not 0 < self.rho < math.inf:
             raise ValueError("rho must be positive and finite, or None")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
         for name in ("max_iter", "stab_count"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -470,9 +463,7 @@ def _equilibrate(p: AviProblem) -> tuple[AviProblem, np.ndarray]:
 _CHAIN_STEPS = 5
 
 
-def _correction(
-    p: AviProblem, act: tuple[int, ...], reduced: ReducedKkt, s: SolverSettings, tol: float
-):
+def _correction(p: AviProblem, act: tuple[int, ...], reduced: ReducedKkt, tol: float):
     """Reduced KKT solve for act and the active-set walk from it.
 
     Returns (candidate, exact, steps).  candidate is (x, full multipliers)
@@ -494,7 +485,7 @@ def _correction(
         candidate = candidate or (x, lam)
         # a set the walk reached must also be its fixed point: no lam < 0
         if (len(tried) == 1 or lam_S.min(initial=0.0) >= 0) and check_solution(
-            p, x, lam, s.eps_primal, s.eps_dual
+            p, x, lam, SolverSettings.eps_primal, SolverSettings.eps_dual
         ):
             return candidate, (x, lam, S), len(tried) - 1
         viol = p.A @ x - p.b
@@ -543,10 +534,8 @@ def _iterate(
     and either exits (merit <= eta, or an exact correction) or moves z by
     the solver's update.  ``setup(p, s)`` returns the solver's QP workspace,
     its linear-term map z -> g and its update (y, z) -> z.  With
-    ``corrections`` the active-set stabilization, the correction of an
-    uncapped first QP, the near-convergence polish and the inexact early
-    QPs described in :func:`solve_dr_daqp` run as well; the polish corrects
-    a set not yet tried in this iteration.
+    ``corrections`` the two correction rules and the inexact early QPs of
+    :func:`solve_dr_daqp` run as well.
 
     The loop runs on a copy of ``user`` with unit-norm rows; the returned
     multipliers and KKT residual belong to ``user``.
@@ -570,15 +559,14 @@ def _iterate(
         qp.max_changes = (p.n << k) // 2 if capping else None
         res = qp_solve(qp, linear_term(z), warm_start=warm_start)
         qp.max_changes = None
-        y, act, lam, qp_iters = res.y, res.active_set, res.multipliers, res.inner_iterations
-        capped = res.capped
-        streak = streak + 1 if act == last_act else 0
+        qp_iters = res.inner_iterations
+        streak = streak + 1 if res.active_set == last_act else 0
         tried = exact = None  # tried: the active set corrected this iteration
         accepted = False
         chain = 0
         if corrections and streak >= s.stab_count:
-            tried = act
-            candidate, exact, chain = _correction(p, act, reduced, s, qp.eps_primal)
+            tried = res.active_set
+            candidate, exact, chain = _correction(p, tried, reduced, qp.eps_primal)
             if candidate is None:
                 streak = 0
             elif exact is None:
@@ -590,28 +578,26 @@ def _iterate(
                 new_merit = math.sqrt(d @ d)
                 if new_merit < delta:
                     delta = new_merit
-                    z, y, act, lam = x_c, res2.y, res2.active_set, res2.multipliers
-                    capped = False
+                    z, res = x_c, res2
                     accepted = True
                 else:
                     streak = 0
-                    qp.set_working_set(act)
-        elif corrections and k == 0 and not capped:
-            # an uncapped first QP is corrected at once; only an Exact exit counts
-            tried = act
-            _, exact, chain = _correction(p, act, reduced, s, qp.eps_primal)
+                    qp.set_working_set(tried)
+        y, act, lam = res.y, res.active_set, res.multipliers
 
         d = y - z
         merit = math.sqrt(d @ d)
 
         # a capped QP's y is no QP solution, so its merit can end nothing
-        converged = merit <= s.eta and not capped
+        converged = merit <= s.eta and not res.capped
 
-        # near-convergence polish: certify the current active set, if not yet
-        # tried in this iteration, before falling back to an inexact exit
-        if corrections and exact is None and converged and act != tried:
+        # certify-only: the set of an uncapped first QP, or of a converged
+        # one, if not yet tried in this iteration; only an Exact exit counts
+        if corrections and exact is None and act != tried and (
+            converged or k == 0 and not res.capped
+        ):
             tried = act
-            _, exact, steps = _correction(p, act, reduced, s, qp.eps_primal)
+            _, exact, steps = _correction(p, act, reduced, qp.eps_primal)
             chain += steps
 
         if exact is not None:
@@ -676,38 +662,37 @@ def solve_dr_daqp(
     reference=None,
     warm_start: bool = True,
 ) -> tuple[Solution, IterationTrace]:
-    """Splitting iteration with active-set stabilization and exact exits.
+    """Splitting iteration with active-set corrections and exact exits.
 
-    Per iteration: solve the inner QP at z_k (warm-started), track how long
-    the reported active set has been unchanged, and once the streak reaches
-    ``stab_count``, solve the reduced KKT system for that set.  A candidate
-    that passes check_solution ends the solve with status Exact.  Otherwise
-    a primal-dual active-set walk follows (Hintermueller, Ito & Kunisch,
-    SIAM J. Optim. 13, 2003): the next set keeps the rows with a positive
-    multiplier and adds the rows the candidate violates by more than
-    eps_primal (1 + max|b|), most violated first, up to n rows.  It stops at
-    a set already tried, at dependent rows, after ``_CHAIN_STEPS`` reduced
-    solves (``TraceRecord.chain_steps``), or at a candidate that passes
+    A correction takes the active set S of the iteration's inner QP and
+    solves its reduced KKT system.  A candidate that passes check_solution
+    ends the solve with status Exact.  Otherwise a primal-dual active-set
+    walk follows (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2003):
+    the next set keeps the rows with a positive multiplier and adds the rows
+    the candidate violates by more than eps_primal (1 + max|b|), most
+    violated first, up to n rows.  It stops at a set already tried, at
+    dependent rows, after ``_CHAIN_STEPS`` reduced solves
+    (``TraceRecord.chain_steps``), or at a candidate that passes
     check_solution with no negative multiplier, which ends the solve with
-    status Exact and its own active set.  Otherwise a second QP solve at
-    the first candidate decides acceptance: the pair (candidate, its QP
-    solution) replaces (z_k, y_k) only when its merit strictly improves the
-    best accepted merit so far.  A failed or rejected attempt resets the
-    streak and rewinds the QP working set to the pre-attempt active set.
+    status Exact and its own active set.
 
-    The first iteration needs no streak when its QP ends uncapped (it needed
-    fewer working-set changes than the cap below, or the caller gave
-    ``z0``): its active set is corrected at once, with the same walk.  An
-    exact candidate ends the solve with status Exact after one iteration;
-    otherwise the attempt changes nothing, with no acceptance QP, and z,
-    the streak and the working set stay as they were.  The LU factor of
-    rho I + H (``DrWorkspace.update_factor``) is built by the first DR
-    update, so a solve ended by that attempt never computes it.
+    Two rules start a correction; neither runs twice on one set in one
+    iteration:
 
-    Near-converged iterates get one last chance at an exact exit: when the
-    merit falls below eta and the current active set is a set not yet tried
-    in this iteration, its reduced KKT system is solved and checked, with
-    the same walk, before settling for status Tolerance.
+    * Streak: the inner QP has reported S for ``stab_count`` iterations in
+      a row.  Without an exact candidate, a second QP solve at the first
+      candidate decides acceptance: the pair (candidate, its QP solution)
+      replaces (z_k, y_k) only when its merit strictly improves the best
+      accepted merit so far.  A failed or rejected attempt resets the streak
+      and rewinds the QP working set to S.
+    * Certify-only: S comes from an uncapped QP at k = 0 (the first QP
+      needed fewer working-set changes than the cap below, or the caller
+      gave ``z0``), or from a QP whose merit has fallen below eta.  Only an
+      exact candidate counts; otherwise the attempt changes nothing, with
+      no acceptance QP, and the solve goes on (k = 0) or ends Tolerance.
+
+    The LU factor of rho I + H (``DrWorkspace.update_factor``) is built by
+    the first DR update, so a solve ended at k = 0 never computes it.
 
     ``warm_start=False`` forces every inner QP to start from an empty
     working set (used for warm-vs-cold comparisons).
@@ -720,12 +705,11 @@ def solve_dr_daqp(
     (a start near the solution needs one exact QP).  The acceptance QP of a
     correction and the QP of the last allowed iteration are never capped.
     A capped QP's y solves no QP, so its merit neither ends the solve nor
-    triggers the near-convergence polish or the first-iteration correction;
-    a streak's correction on its active set still runs, and Exact is still
-    certified by check_solution.  Finitely many inexact splitting steps keep
-    the iteration convergent (Eckstein & Bertsekas, Math. Prog. 55, 1992),
-    and an iterate that ends the solve comes from an exact QP or an exact
-    correction.
+    starts a certify-only correction; a streak correction on its active set
+    still runs, and Exact is still certified by check_solution.  Finitely
+    many inexact splitting steps keep the iteration convergent (Eckstein &
+    Bertsekas, Math. Prog. 55, 1992), and an iterate that ends the solve
+    comes from an exact QP or an exact correction.
 
     The iteration runs on a copy of the problem whose constraint rows have
     unit norm, so every tolerance means the same distance on every row

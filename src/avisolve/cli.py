@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             f"streak length before a KKT attempt (default {SolverSettings.stab_count}); "
-            "an uncapped first inner QP is corrected without a streak"
+            "solve_dr_daqp's docstring states every correction rule"
         ),
     )
     p_solve.add_argument("--trace", default=None, help="write per-iteration CSV here")

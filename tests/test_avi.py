@@ -101,8 +101,9 @@ def test_settings_validation():
     for rho in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
             SolverSettings(rho=rho)
-    with pytest.raises(ValueError):
-        SolverSettings(eta=0.0)
+    for eta in (0.0, np.inf):
+        with pytest.raises(ValueError):
+            SolverSettings(eta=eta)
     with pytest.raises(ValueError):
         SolverSettings(stab_count=0)
     for pg_step in (0.0, np.inf):
@@ -629,6 +630,24 @@ def test_solve_dr_daqp_exact_exit_without_streak():
     sol, _ = solve_dr_daqp(_scalar_problem(), SolverSettings(rho=2.0, stab_count=10000))
     assert sol.status == "Exact"
     np.testing.assert_allclose(sol.x, [1.0], atol=1e-6)
+
+
+def test_solve_dr_daqp_certify_only_rule():
+    # without the streak only the certify-only rule corrects: at k = 0 on an
+    # uncapped first QP, and at convergence; it never accepts a candidate
+    settings = SolverSettings(stab_count=10**4)
+    first = last = 0  # attempts at k = 0, and at a last record with k > 0
+    for n, m in ((10, 100), (10, 20), (30, 20)):
+        for seed in range(1, 21):
+            prob = random_avi(GenSpec(n=n, m=m, gamma_asym=0.5, seed=seed))
+            sol, trace = solve_dr_daqp(prob, settings)
+            assert sol.status == "Exact"
+            assert not any(r.newton_accepted for r in trace)
+            attempts = [r.k for r in trace if r.newton_attempted]
+            assert all(k == 0 or k == len(trace) - 1 for k in attempts)
+            first += attempts.count(0)
+            last += sum(k > 0 for k in attempts)
+    assert first >= 1 and last >= 1  # both conditions of the rule are reached
 
 
 def test_solve_dr_daqp_identification_from_reference_start():

@@ -294,7 +294,7 @@ def test_solve_missing_file(tmp_path, capsys):
 
 
 def test_solve_invalid_settings(tmp_path, capsys):
-    for option in (["--eta", "-1"], ["--rho", "inf"], ["--rho", "nan"]):
+    for option in (["--eta", "-1"], ["--eta", "inf"], ["--rho", "inf"], ["--rho", "nan"]):
         code, _ = _run(capsys, ["solve", str(_scalar_file(tmp_path)), *option])
         assert code == EXIT_PARSE
 
