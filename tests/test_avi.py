@@ -473,20 +473,21 @@ def test_solve_dr_daqp_exact_on_badly_scaled_rows():
 
 
 # Seeds of random_avi(n=4, m=8, gamma=0.5) that solve_dr_daqp reports Exact
-# with a wrong x when every correction tries only the QP's active set: a far
-# redundant row 0.5 (1, 1, 1, 1) x <= B, and (H, f) scaled by s.  The
-# tolerances of check_solution are the cause (ROADMAP item 1); the
-# active-set walk tries more sets per correction and must not add a seed.
-_FALSE_EXACT_WITHOUT_WALK = {
+# with a wrong x: a far redundant row 0.5 (1, 1, 1, 1) x <= B, and (H, f)
+# scaled by s.  The tolerances of check_solution are the cause (ROADMAP
+# item 1).  Each set is exactly what the solver gives today, so it is a
+# ceiling: a change may drop a seed, and then the set shrinks with it, but
+# must not add one.
+_FALSE_EXACT_CEILING = {
     ("far row", 1e5): {25},
-    ("far row", 1e7): {1, 16, 21, 25, 34, 42, 43, 50},
+    ("far row", 1e7): {1, 21, 25, 34, 42, 43, 50},
     ("small objective", 1e-8): {42},
-    ("small objective", 1e-10): {5, 11, 14, 15, 21, 22, 26, 31, 41, 42, 47},
+    ("small objective", 1e-10): {5, 14, 21, 41, 42},
 }
 
 
 def test_active_set_walk_adds_no_false_exact():
-    wrong = {key: set() for key in _FALSE_EXACT_WITHOUT_WALK}
+    wrong = {key: set() for key in _FALSE_EXACT_CEILING}
     for seed in range(1, 51):
         prob = random_avi(GenSpec(n=4, m=8, gamma_asym=0.5, seed=seed))
         x_star = brute_force_solve(prob).x
@@ -500,7 +501,7 @@ def test_active_set_walk_adds_no_false_exact():
             if sol.status == "Exact" and np.max(np.abs(sol.x - x_star)) > 1e-6:
                 wrong[family, value].add(seed)
     for key, seeds in wrong.items():
-        assert seeds <= _FALSE_EXACT_WITHOUT_WALK[key], (key, seeds)
+        assert seeds <= _FALSE_EXACT_CEILING[key], (key, seeds)
 
 
 def _game(seed):

@@ -1,4 +1,4 @@
-"""One SHA-256 over the solver outputs of a fixed set of cases.
+"""SHA-256 digests over the solver outputs of a fixed set of cases.
 
 Two source trees that print the same digest give byte-identical outputs on
 every case, which is how a change that claims to keep behaviour is checked:
@@ -7,8 +7,14 @@ run the script in both trees and compare the last line it prints.
     python3 tools/output_digest.py
 
 It prints one line per group of cases (name, case count, SHA-256 of the
-group alone), then the number of cases, then the digest over all of them.
-A change that moves only some outputs shows which groups it moves.
+group alone); then, per group, the SHA-256 of its answers and of its path
+(``golden answers: ...``, ``golden path: ...``); then the ``answers`` and
+``path`` digests over all groups; then the number of cases; and last the
+digest over all of them.  A change that moves only some outputs shows
+which groups it moves.  A change that moves the path on purpose (fewer
+iterations, other working-set changes) and keeps the answers prints the
+parent's ``answers:`` line; a change that claims identical outputs prints
+the parent's last line.
 
 The cases, each hashed in a fixed order:
 
@@ -35,11 +41,21 @@ The cases, each hashed in a fixed order:
   tests/test_oracle.py) and on one problem whose size-0 saddle matrix is
   singular, which takes the oracle's one-by-one fallback.
 
-A solve contributes x, multipliers, kkt_residual, status, iterations and
-every ``TraceRecord`` field; a QP call y, multipliers, active set, changes,
-scans and working set; an oracle call every candidate's subset, x and
-multipliers, or every ``OracleResult`` field; a raise its error type and
-message.  Arrays are hashed as raw bytes, so even the sign of a zero
+Every value goes to the combined digest, in one byte stream, and to
+exactly one of two more, the answers or the path:
+
+* answers: a solve's x, multipliers, active set, kkt_residual and status;
+  a QP call's y, multipliers and active set; every oracle value (each
+  candidate's subset, x and multipliers, every ``OracleResult`` field); a
+  raise's error type and message; and the ``ok``/``raise`` mark and tuple
+  lengths that frame each case;
+* path: a solve's iteration count and every ``TraceRecord`` field; a QP
+  call's ``inner_iterations``, ``total_inner_iterations``, ``total_scans``
+  and working set after the call; the ``set_working_set`` start fed before
+  each random ``qp`` case.
+
+The ``oracle`` group has no path, so its path line is the SHA-256 of
+nothing.  Arrays are hashed as raw bytes, so even the sign of a zero
 counts.  The package is imported from ``src/`` next to this script, and
 BLAS is pinned to one thread before numpy loads.
 """
@@ -79,29 +95,48 @@ ORACLE_INTEGER_CASES = 200
 POOL_SEED = 23
 
 
-class Digest:
-    """SHA-256 over a stream of values; ``count`` counts finished cases.
+def _hashes() -> dict:
+    return {part: hashlib.sha256() for part in ("all", "answers", "path")}
 
-    ``group(name)`` starts a named group: values fed from then on also go
-    to a SHA-256 of that group alone, and its cases count in ``groups``.
+
+@dataclasses.dataclass(frozen=True)
+class OnPath:
+    """A value of the path: it goes to the ``path`` digests, not ``answers``."""
+
+    value: object
+
+
+class Digest:
+    """SHA-256 per part over a stream of values; ``count`` counts finished cases.
+
+    Every value goes to the ``all`` hash and to the ``answers`` hash, or to
+    the ``path`` hash when wrapped in ``OnPath``.  ``group(name)`` starts a
+    named group: values fed from then on also go to that group's hashes,
+    and its cases count in ``groups``.
     """
 
     def __init__(self):
-        self._h = hashlib.sha256()
+        self.total = _hashes()
         self.count = 0
-        self.groups: dict[str, list] = {}  # name -> [SHA-256, case count]
-        self._group = [hashlib.sha256(), 0]
+        self.groups: dict[str, list] = {}  # name -> [hashes by part, case count]
+        self._group = [_hashes(), 0]
+        self._part = "answers"
 
     def group(self, name: str) -> None:
-        self._group = self.groups[name] = [hashlib.sha256(), 0]
+        self._group = self.groups[name] = [_hashes(), 0]
 
     def _update(self, data: bytes) -> None:
-        self._h.update(data)
-        self._group[0].update(data)
+        for hashes in (self.total, self._group[0]):
+            hashes["all"].update(data)
+            hashes[self._part].update(data)
 
     def feed(self, *values) -> None:
         for v in values:
-            if isinstance(v, np.ndarray):
+            if isinstance(v, OnPath):
+                self._part = "path"
+                self.feed(v.value)
+                self._part = "answers"
+            elif isinstance(v, np.ndarray):
                 self._update(f"a{v.dtype.str}{v.shape}".encode())
                 self._update(np.ascontiguousarray(v).tobytes())
             elif isinstance(v, (tuple, list)):
@@ -120,9 +155,6 @@ class Digest:
         self.count += 1
         self._group[1] += 1
 
-    def hexdigest(self) -> str:
-        return self._h.hexdigest()
-
 
 def _solve(solver, problem, **kwargs):
     sol, trace = solver(problem, **kwargs)
@@ -132,8 +164,8 @@ def _solve(solver, problem, **kwargs):
         sol.active_set,
         sol.kkt_residual,
         sol.status,
-        sol.iterations,
-        [dataclasses.astuple(r) for r in trace],
+        OnPath(sol.iterations),
+        OnPath([dataclasses.astuple(r) for r in trace]),
     )
 
 
@@ -196,10 +228,10 @@ def _qp_call(ws, g, warm_start=True):
         r.y,
         r.multipliers,
         r.active_set,
-        r.inner_iterations,
-        ws.total_inner_iterations,
-        ws.total_scans,
-        ws.working_set,
+        OnPath(r.inner_iterations),
+        OnPath(ws.total_inner_iterations),
+        OnPath(ws.total_scans),
+        OnPath(ws.working_set),
     )
 
 
@@ -213,7 +245,7 @@ def qp_cases(d: Digest) -> None:
         ws = qp_setup(hessian, A, b)
         start = rng.integers(0, m, int(rng.integers(0, m + 1))) if m else []
         ws.set_working_set(start)
-        d.feed(ws.working_set)
+        d.feed(OnPath(ws.working_set))
         g1, g2 = rng.standard_normal(n), rng.standard_normal(n)
         if diagonal:
             # zeros of both signs in g, which y keeps under a diagonal Hessian
@@ -274,10 +306,15 @@ def main() -> int:
     solver_cases(d)
     qp_cases(d)
     oracle_cases(d)
-    for name, (h, count) in d.groups.items():
-        print(f"{name}: {count} cases {h.hexdigest()}")
+    for name, (hashes, count) in d.groups.items():
+        print(f"{name}: {count} cases {hashes['all'].hexdigest()}")
+    for name, (hashes, _) in d.groups.items():
+        for part in ("answers", "path"):
+            print(f"{name} {part}: {hashes[part].hexdigest()}")
+    for part in ("answers", "path"):
+        print(f"{part}: {d.total[part].hexdigest()}")
     print(f"{d.count} cases")
-    print(d.hexdigest())
+    print(d.total["all"].hexdigest())
     return 0
 
 
