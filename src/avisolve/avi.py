@@ -124,7 +124,9 @@ class SolverSettings:
     Frobenius norm of H, and the projected-gradient step becomes mu / L**2
     with mu the smallest eigenvalue of sym(H) and L the Frobenius norm of H.
     The exactness tolerances ``eps_primal`` and ``eps_dual`` of
-    :func:`check_solution` are fixed class constants.
+    :func:`check_solution` are fixed class constants; ``eps_primal`` also
+    sets row i's tolerance eps_primal (1 + |b_i|) in the active-set walk of
+    :func:`solve_dr_daqp`.
     """
 
     eps_primal: ClassVar[float] = 1e-8
@@ -463,17 +465,18 @@ def _equilibrate(p: AviProblem) -> tuple[AviProblem, np.ndarray]:
 _CHAIN_STEPS = 5
 
 
-def _correction(p: AviProblem, act: tuple[int, ...], reduced: ReducedKkt, tol: float):
+def _correction(p: AviProblem, act: tuple[int, ...], reduced: ReducedKkt):
     """Reduced KKT solve for act and the active-set walk from it.
 
     Returns (candidate, exact, steps).  candidate is (x, full multipliers)
     for act, or None when its rows are dependent; only it goes to the
     caller's acceptance test.  exact is (x, full multipliers, active set) of
     the candidate found exact, else None.  steps counts the walk's reduced
-    solves; :func:`solve_dr_daqp` describes the walk, in which a row enters
-    when the candidate violates it by more than ``tol``.
+    solves; :func:`solve_dr_daqp` states the one rule that judges every set
+    the walk solves, act included.
     """
     candidate, S, tried = None, act, set()
+    tol = SolverSettings.eps_primal * (1.0 + np.abs(p.b))
     while S not in tried and len(tried) <= _CHAIN_STEPS:
         tried.add(S)
         try:
@@ -483,16 +486,17 @@ def _correction(p: AviProblem, act: tuple[int, ...], reduced: ReducedKkt, tol: f
         lam = np.zeros(p.m)
         lam[list(S)] = lam_S
         candidate = candidate or (x, lam)
-        # a set the walk reached must also be its fixed point: no lam < 0
-        if (len(tried) == 1 or lam_S.min(initial=0.0) >= 0) and check_solution(
-            p, x, lam, SolverSettings.eps_primal, SolverSettings.eps_dual
+        viol = p.A @ x - p.b
+        if (
+            lam_S.min(initial=0.0) >= 0
+            and np.all(viol <= tol)
+            and check_solution(p, x, lam, SolverSettings.eps_primal, SolverSettings.eps_dual)
         ):
             return candidate, (x, lam, S), len(tried) - 1
-        viol = p.A @ x - p.b
         viol[list(S)] = 0.0  # a row of S leaves only by its multiplier's sign
         keep = [i for i in S if lam[i] > 0]
         enter = np.argsort(-viol, kind="stable")[: p.n - len(keep)]
-        S = tuple(sorted(keep + [int(i) for i in enter if viol[i] > tol]))
+        S = tuple(sorted(keep + [int(i) for i in enter if viol[i] > tol[i]]))
     return candidate, None, len(tried) - 1
 
 
@@ -566,7 +570,7 @@ def _iterate(
         chain = 0
         if corrections and streak >= s.stab_count:
             tried = res.active_set
-            candidate, exact, chain = _correction(p, tried, reduced, qp.eps_primal)
+            candidate, exact, chain = _correction(p, tried, reduced)
             if candidate is None:
                 streak = 0
             elif exact is None:
@@ -597,7 +601,7 @@ def _iterate(
             converged or k == 0 and not res.capped
         ):
             tried = act
-            _, exact, steps = _correction(p, act, reduced, qp.eps_primal)
+            _, exact, steps = _correction(p, act, reduced)
             chain += steps
 
         if exact is not None:
@@ -665,16 +669,16 @@ def solve_dr_daqp(
     """Splitting iteration with active-set corrections and exact exits.
 
     A correction takes the active set S of the iteration's inner QP and
-    solves its reduced KKT system.  A candidate that passes check_solution
-    ends the solve with status Exact.  Otherwise a primal-dual active-set
-    walk follows (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2003):
-    the next set keeps the rows with a positive multiplier and adds the rows
-    the candidate violates by more than eps_primal (1 + max|b|), most
-    violated first, up to n rows.  It stops at a set already tried, at
-    dependent rows, after ``_CHAIN_STEPS`` reduced solves
-    (``TraceRecord.chain_steps``), or at a candidate that passes
-    check_solution with no negative multiplier, which ends the solve with
-    status Exact and its own active set.
+    walks from it by primal-dual active-set steps (Hintermueller, Ito &
+    Kunisch, SIAM J. Optim. 13, 2003).  Each set of the walk, S first, gets
+    its reduced KKT solve, and one rule judges every candidate: it ends the
+    solve with status Exact and its own active set when no multiplier is
+    negative, no row is violated by more than eps_primal (1 + |b_i|), and
+    check_solution passes.  Otherwise the next set keeps the rows with a
+    positive multiplier and adds the rows violated by more than that same
+    per-row tolerance, most violated first, up to n rows.  The walk stops
+    at a set already tried, at dependent rows, or after ``_CHAIN_STEPS``
+    reduced solves (``TraceRecord.chain_steps``).
 
     Two rules start a correction; neither runs twice on one set in one
     iteration:

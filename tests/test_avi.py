@@ -474,20 +474,31 @@ def test_solve_dr_daqp_exact_on_badly_scaled_rows():
 
 # Seeds of random_avi(n=4, m=8, gamma=0.5) that solve_dr_daqp reports Exact
 # with a wrong x: a far redundant row 0.5 (1, 1, 1, 1) x <= B, and (H, f)
-# scaled by s.  The tolerances of check_solution are the cause (ROADMAP
-# item 1).  Each set is exactly what the solver gives today, so it is a
+# scaled by s.  Each set is exactly what the solver gives today, so it is a
 # ceiling: a change may drop a seed, and then the set shrinks with it, but
 # must not add one.
 _FALSE_EXACT_CEILING = {
-    ("far row", 1e5): {25},
-    ("far row", 1e7): {1, 21, 25, 34, 42, 43, 50},
-    ("small objective", 1e-8): {42},
-    ("small objective", 1e-10): {5, 14, 21, 41, 42},
+    ("far row", 1e5): set(),
+    ("far row", 1e7): set(),
+    ("small objective", 1e-8): set(),
+    ("small objective", 1e-10): set(),
+}
+
+# How many of the 50 seeds end Exact with the right x: a floor, so that a
+# rule that certifies nothing cannot pass under the ceiling.  The missing
+# seeds end Tolerance with a wrong x (far row 1e7 seeds 34 and 43, small
+# objective 1e-10 seed 5; ROADMAP items 1 and 14).
+_RIGHT_EXACT_FLOOR = {
+    ("far row", 1e5): 50,
+    ("far row", 1e7): 48,
+    ("small objective", 1e-8): 50,
+    ("small objective", 1e-10): 49,
 }
 
 
 def test_active_set_walk_adds_no_false_exact():
     wrong = {key: set() for key in _FALSE_EXACT_CEILING}
+    right = dict.fromkeys(_FALSE_EXACT_CEILING, 0)
     for seed in range(1, 51):
         prob = random_avi(GenSpec(n=4, m=8, gamma_asym=0.5, seed=seed))
         x_star = brute_force_solve(prob).x
@@ -498,10 +509,15 @@ def test_active_set_walk_adds_no_false_exact():
             else:
                 variant = AviProblem(H=value * prob.H, f=value * prob.f, A=prob.A, b=prob.b)
             sol, _ = solve_dr_daqp(variant)
-            if sol.status == "Exact" and np.max(np.abs(sol.x - x_star)) > 1e-6:
+            if sol.status != "Exact":
+                continue
+            if np.max(np.abs(sol.x - x_star)) > 1e-6:
                 wrong[family, value].add(seed)
+            else:
+                right[family, value] += 1
     for key, seeds in wrong.items():
         assert seeds <= _FALSE_EXACT_CEILING[key], (key, seeds)
+        assert right[key] >= _RIGHT_EXACT_FLOOR[key], (key, right[key])
 
 
 def _game(seed):

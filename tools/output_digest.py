@@ -39,7 +39,13 @@ The cases, each hashed in a fixed order:
   ``ORACLE_INTEGER_CASES`` well-posed integer AVIs (n 1-4, m 0-8, a
   repeated row and a zero row with b >= 0; the draws of
   tests/test_oracle.py) and on one problem whose size-0 saddle matrix is
-  singular, which takes the oracle's one-by-one fallback.
+  singular, which takes the oracle's one-by-one fallback;
+* ``families``: the 200 solves of tests/test_avi.py's
+  ``test_active_set_walk_adds_no_false_exact`` under ``solve_dr_daqp``:
+  ``random_avi`` (n = 4, m = 8, gamma 0.5, seeds 1-50) with a far redundant
+  row 0.5 (1, 1, 1, 1) x <= B, B in {1e5, 1e7}, or with (H, f) scaled by s
+  in {1e-8, 1e-10}.  Their answers move when the rule that ends a solve
+  Exact moves.
 
 Every value goes to the combined digest, in one byte stream, and to
 exactly one of two more, the answers or the path:
@@ -301,11 +307,25 @@ def oracle_cases(d: Digest) -> None:
         d.case(lambda: dataclasses.astuple(brute_force_solve(p)))
 
 
+def family_cases(d: Digest) -> None:
+    d.group("families")
+    for seed in range(1, 51):
+        p = random_avi(GenSpec(n=4, m=8, gamma_asym=0.5, seed=seed))
+        A = np.vstack([p.A, np.full(4, 0.5)])
+        for far in (1e5, 1e7):
+            prob = AviProblem(H=p.H, f=p.f, A=A, b=np.append(p.b, far))
+            d.case(lambda: _solve(avisolve.solve_dr_daqp, prob))
+        for scale in (1e-8, 1e-10):
+            prob = AviProblem(H=scale * p.H, f=scale * p.f, A=p.A, b=p.b)
+            d.case(lambda: _solve(avisolve.solve_dr_daqp, prob))
+
+
 def main() -> int:
     d = Digest()
     solver_cases(d)
     qp_cases(d)
     oracle_cases(d)
+    family_cases(d)
     for name, (hashes, count) in d.groups.items():
         print(f"{name}: {count} cases {hashes['all'].hexdigest()}")
     for name, (hashes, _) in d.groups.items():
